@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "util/metrics.hpp"
+
 namespace ytcdn::sim {
 
 EventEngine::EventEngine(std::size_t num_shards) {
@@ -12,23 +14,35 @@ EventEngine::EventEngine(std::size_t num_shards) {
 }
 
 void EventEngine::run_until(SimTime horizon) {
+    static const util::metrics::Counter ties_metric =
+        util::metrics::counter("sim.engine.cross_shard_ties");
+    std::uint64_t ties = 0;
     for (;;) {
         // The merge point: earliest (time, shard) across all queues. A
         // strict `<` keeps the lowest shard index on ties, so the order is
         // a pure function of queue contents.
         std::size_t best = shards_.size();
         SimTime best_time = std::numeric_limits<SimTime>::infinity();
+        bool tie = false;
         for (std::size_t i = 0; i < shards_.size(); ++i) {
             const SimTime t = shards_[i]->next_event_time();
             if (t < best_time) {
                 best_time = t;
                 best = i;
+                tie = false;
+            } else if (t == best_time && best != shards_.size()) {
+                tie = true;
             }
         }
         if (best == shards_.size() || best_time > horizon) break;
+        // A cross-shard tie is the one place the shard layout could steer
+        // the run: the popped event would differ at another shard count.
+        if (tie) ++ties;
         shards_[best]->run_one();
     }
     for (auto& s : shards_) s->advance_to(horizon);
+    cross_shard_ties_ += ties;
+    ties_metric.inc(ties);
 }
 
 std::uint64_t EventEngine::events_processed() const noexcept {

@@ -20,15 +20,15 @@ namespace ytcdn::sim {
 /// picks, at every step, the shard whose earliest pending event has the
 /// smallest timestamp (lowest shard index wins a tie) and runs exactly that
 /// event. With one shard this degenerates to Simulator::run_until — the
-/// same pops in the same order — which is what the engine-vs-legacy
-/// byte-equality battery pins.
+/// same pops in the same order.
 ///
 /// Shard-count invariance: partitioning the same event population across K
 /// queues only changes the tie-break among *equal* timestamps in different
 /// shards. Workload timestamps are sums of continuous RNG draws and fault
 /// times are schedule constants, so cross-shard collisions do not occur in
-/// practice; Determinism.EventEngineShardInvariance byte-compares the
-/// report and the YTR1 trace across shard counts to keep it that way.
+/// practice. The merge counts every pop that won such a tie
+/// (cross_shard_ties(), metric `sim.engine.cross_shard_ties`), and
+/// Determinism.EventEngineShardInvariance asserts the count stays zero.
 ///
 /// Each shard's queue allocates its task payloads from its own
 /// util::SlabPool blocks (see sim/event_queue.hpp), so per-shard arenas
@@ -62,10 +62,18 @@ public:
     /// Earliest pending timestamp across shards (+infinity when idle).
     [[nodiscard]] SimTime next_event_time() const noexcept;
 
+    /// Events popped while another shard's head held the same timestamp
+    /// (the lowest shard index won). Zero means the pop order did not
+    /// depend on the shard layout.
+    [[nodiscard]] std::uint64_t cross_shard_ties() const noexcept {
+        return cross_shard_ties_;
+    }
+
 private:
     // Simulator is non-movable (its EventQueue pins slab blocks), so the
     // shard table owns them indirectly.
     std::vector<std::unique_ptr<Simulator>> shards_;
+    std::uint64_t cross_shard_ties_ = 0;
 };
 
 }  // namespace ytcdn::sim

@@ -46,8 +46,10 @@ public:
     /// Timestamp of the earliest event; queue must be non-empty.
     [[nodiscard]] SimTime next_time() const;
 
-    /// Move-only handle to a popped task. Invoking it runs the callback and
-    /// recycles its slab block; destroying it un-invoked also recycles.
+    /// Move-only handle to a popped task. Invoking it runs the callback, then
+    /// destroys it and recycles its slab block — also when the callback
+    /// throws, so its captures never leak; destroying the handle un-invoked
+    /// does the same without running it.
     class Task {
     public:
         Task(Task&& other) noexcept : queue_(other.queue_), task_(other.task_) {
@@ -61,10 +63,13 @@ public:
         }
 
         void operator()() {
-            TaskBase* t = task_;
+            struct Dispose {
+                EventQueue* queue;
+                TaskBase* task;
+                ~Dispose() { queue->dispose(task); }
+            } done{queue_, task_};
             task_ = nullptr;
-            t->invoke(t);  // may push new events; safe, t is off the heap
-            queue_->recycle(t);
+            done.task->invoke(done.task);  // may push new events; safe, it is off the heap
         }
 
     private:

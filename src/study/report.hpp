@@ -71,13 +71,6 @@ struct ReportOptions {
     /// Table III re-runs the whole CBG geolocation pipeline (calibrate 215
     /// landmarks, locate every /24) — by far the most expensive artifact.
     bool include_table3 = true;
-    /// Drive the §VI/§VII artifacts from the run's SoA flow/session tables
-    /// (column scans) instead of the AoS record walks. Both paths render
-    /// byte-identical artifacts — Determinism.FlowTableEquivalence compares
-    /// the full report — so this exists to keep the AoS reference path
-    /// testable; production leaves it on. Ignored (AoS used) when the run
-    /// was hand-assembled without tables.
-    bool use_flow_tables = true;
     /// Landmark set and CBG grid for Table III; tests shrink both.
     geoloc::LandmarkCounts landmarks;
     geoloc::CbgLocator::Config cbg;

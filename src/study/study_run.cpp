@@ -6,7 +6,6 @@
 
 #include "analysis/preferred_dc.hpp"
 #include "study/dc_map_builder.hpp"
-#include "study/event_engine_driver.hpp"
 #include "util/metrics.hpp"
 
 namespace ytcdn::study {
@@ -26,16 +25,11 @@ StudyMetrics& study_metrics() {
 }  // namespace
 
 std::size_t StudyRun::vp_index(std::string_view name) const {
-    if (!vp_index_by_name.empty()) {
-        const auto it = vp_index_by_name.find(std::string(name));
-        if (it != vp_index_by_name.end()) return it->second;
+    const auto it = vp_index_by_name.find(std::string(name));
+    if (it == vp_index_by_name.end()) {
         throw std::out_of_range("StudyRun::vp_index: unknown dataset");
     }
-    // Hand-assembled runs (tests) may not have built the index.
-    for (std::size_t i = 0; i < traces.datasets.size(); ++i) {
-        if (traces.datasets[i].name == name) return i;
-    }
-    throw std::out_of_range("StudyRun::vp_index: unknown dataset");
+    return it->second;
 }
 
 const capture::Dataset& StudyRun::dataset(std::string_view name) const {
@@ -44,14 +38,17 @@ const capture::Dataset& StudyRun::dataset(std::string_view name) const {
 
 namespace {
 
-StudyRun derive_run(const StudyConfig& config,
-                    std::unique_ptr<StudyDeployment> deployment,
-                    TraceOutputs traces, util::ThreadPool& pool) {
+StudyRun new_run(const StudyConfig& config,
+                 std::unique_ptr<StudyDeployment> deployment, TraceOutputs traces) {
     StudyRun run;
     run.config = config;
     run.deployment = std::move(deployment);
     run.traces = std::move(traces);
+    return run;
+}
 
+/// Ground-truth server->DC map and preferred data center per vantage point.
+void derive_maps(StudyRun& run, util::ThreadPool& pool) {
     // Each vantage point's map derivation pings with its own Pinger seeded
     // from (config seed, vp name) — independent tasks, input-order results.
     // The closure captures only `run`, read-only; ytcdn-parallel-shared-mutation
@@ -68,7 +65,14 @@ StudyRun derive_run(const StudyConfig& config,
         run.maps.push_back(std::move(map));
         run.preferred.push_back(preferred);
     }
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+    study_metrics().maps_derived.inc(n);
+}
+
+/// Everything the report reads besides the maps: the name index, the SoA
+/// mirrors, the per-flow dc columns and the CSR session tables.
+void derive_tables(StudyRun& run, util::ThreadPool& pool) {
+    const std::size_t n = run.traces.datasets.size();
+    for (std::size_t i = 0; i < n; ++i) {
         run.vp_index_by_name.emplace(run.traces.datasets[i].name, i);
     }
     // SoA mirrors + per-flow dc columns + CSR session tables, one bundle
@@ -87,7 +91,14 @@ StudyRun derive_run(const StudyConfig& config,
         run.dc_columns.push_back(std::move(dc));
         run.sessions.push_back(std::move(sessions));
     }
-    study_metrics().maps_derived.inc(n);
+}
+
+StudyRun derive_run(const StudyConfig& config,
+                    std::unique_ptr<StudyDeployment> deployment,
+                    TraceOutputs traces, util::ThreadPool& pool) {
+    auto run = new_run(config, std::move(deployment), std::move(traces));
+    derive_maps(run, pool);
+    derive_tables(run, pool);
     return run;
 }
 
@@ -99,22 +110,30 @@ StudyRun assemble_study_run(const StudyConfig& config, TraceOutputs traces,
                       std::move(traces), pool);
 }
 
+StudyRun assemble_study_run(const StudyConfig& config, TraceOutputs traces,
+                            std::vector<analysis::ServerDcMap> maps,
+                            std::vector<int> preferred, util::ThreadPool& pool) {
+    if (maps.size() != traces.datasets.size() ||
+        preferred.size() != traces.datasets.size()) {
+        throw std::invalid_argument(
+            "assemble_study_run: one map and preferred index per dataset");
+    }
+    auto run = new_run(config, std::make_unique<StudyDeployment>(config),
+                       std::move(traces));
+    run.maps = std::move(maps);
+    run.preferred = std::move(preferred);
+    derive_tables(run, pool);
+    return run;
+}
+
 StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,
                    sim::Tracer* tracer) {
     study_metrics().runs.inc();
     auto deployment = std::make_unique<StudyDeployment>(config);
-    TraceOutputs traces;
-    if (config.use_event_engine) {
-        EventEngineDriver driver(*deployment);
-        driver.set_num_shards(config.engine_shards);
-        driver.set_tracer(tracer);
-        traces = driver.run();
-    } else {
-        TraceDriver driver(*deployment);
-        driver.set_tracer(tracer);
-        traces = driver.run();
-    }
-    return derive_run(config, std::move(deployment), std::move(traces), pool);
+    TraceDriver driver(*deployment);
+    driver.set_num_shards(config.engine_shards);
+    driver.set_tracer(tracer);
+    return derive_run(config, std::move(deployment), driver.run(), pool);
 }
 
 StudyRun run_study(const StudyConfig& config, sim::Tracer* tracer) {

@@ -26,14 +26,12 @@ struct StudyRun {
     std::vector<analysis::ServerDcMap> maps;
     /// Preferred data-center index (into maps[i]) per vantage point.
     std::vector<int> preferred;
-    /// Dataset name -> index, built once by assemble_study_run (the
-    /// analyses resolve vantage points by name in inner loops).
+    /// Dataset name -> index (the analyses resolve vantage points by name
+    /// in inner loops).
     std::unordered_map<std::string, std::size_t> vp_index_by_name;
 
-    /// SoA mirrors of traces.datasets, built once during derivation and
-    /// borrowed (read-only) by the report closures; index-aligned with
-    /// `datasets`. Empty only on hand-assembled runs (tests) that skip
-    /// derive_run.
+    /// SoA mirrors of traces.datasets, borrowed (read-only) by the report
+    /// closures; index-aligned with `datasets`.
     std::vector<capture::FlowTable> tables;
     /// CSR session tables at the paper's T = 1 s gap, aligned with `tables`
     /// (fig05's gap-sensitivity sweep rebuilds at other gaps on the fly).
@@ -41,6 +39,7 @@ struct StudyRun {
     /// Pre-resolved dc_of(server_ip) per flow row, aligned with `tables`.
     std::vector<std::vector<int>> dc_columns;
 
+    /// Throws std::out_of_range for an unknown dataset name.
     [[nodiscard]] std::size_t vp_index(std::string_view name) const;
     [[nodiscard]] const capture::Dataset& dataset(std::string_view name) const;
 };
@@ -63,6 +62,16 @@ struct StudyRun {
 /// result is bit-identical to the run that produced the traces.
 [[nodiscard]] StudyRun assemble_study_run(const StudyConfig& config,
                                           TraceOutputs traces,
+                                          util::ThreadPool& pool);
+
+/// Same, with the maps and preferred data centers already known (a resumed
+/// supervisor run reloads them from its geolocate checkpoint): only the
+/// name index, flow/session tables and dc columns are derived, through the
+/// same code as above.
+[[nodiscard]] StudyRun assemble_study_run(const StudyConfig& config,
+                                          TraceOutputs traces,
+                                          std::vector<analysis::ServerDcMap> maps,
+                                          std::vector<int> preferred,
                                           util::ThreadPool& pool);
 
 }  // namespace ytcdn::study

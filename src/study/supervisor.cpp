@@ -261,6 +261,7 @@ util::Result<SupervisorResult> Supervisor::run() {
         }
         auto deployment = std::make_unique<StudyDeployment>(config_);
         TraceDriver driver(*deployment);
+        driver.set_num_shards(config_.engine_shards);
         state.traces = driver.run();
         if (checkpoints) {
             std::ostringstream os;
@@ -315,16 +316,9 @@ util::Result<SupervisorResult> Supervisor::run() {
             std::vector<int> preferred;
             auto decoded = decode_geolocate(*payload, &maps, &preferred);
             if (decoded && maps.size() == state.traces.datasets.size()) {
-                StudyRun run;
-                run.config = config_;
-                run.deployment = std::make_unique<StudyDeployment>(config_);
-                run.traces = std::move(state.traces);
-                run.maps = std::move(maps);
-                run.preferred = std::move(preferred);
-                for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-                    run.vp_index_by_name.emplace(run.traces.datasets[i].name, i);
-                }
-                state.run = std::move(run);
+                state.run = assemble_study_run(config_, std::move(state.traces),
+                                               std::move(maps), std::move(preferred),
+                                               pool);
                 st.from_checkpoint = true;
                 return;
             }

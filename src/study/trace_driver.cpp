@@ -3,8 +3,10 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "capture/sniffer.hpp"
+#include "sim/event_engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/intern.hpp"
 #include "workload/noise_source.hpp"
@@ -12,6 +14,11 @@
 
 namespace ytcdn::study {
 
+namespace {
+
+/// Binds a fault schedule's named targets (data-center cities, server
+/// hostnames, resolver names) to the deployment's CDN/DNS health machines.
+/// Unknown targets throw std::invalid_argument when the fault fires.
 void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
                          std::vector<std::unique_ptr<workload::Player>>& players) {
     using sim::FaultAction;
@@ -86,16 +93,22 @@ void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
     });
 }
 
+}  // namespace
+
 TraceDriver::TraceDriver(StudyDeployment& deployment,
                          const workload::Player::Config& player_config)
     : deployment_(&deployment), player_config_(player_config) {}
 
 TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     auto& dep = *deployment_;
-    sim::Simulator simulator;
+    const std::size_t n = dep.num_vantage_points();
+    if (!sinks_.empty() && sinks_.size() != n) {
+        throw std::invalid_argument(
+            "TraceDriver: flow sinks must match vantage-point count");
+    }
+    sim::EventEngine engine(num_shards_ == 0 ? n : num_shards_);
     sim::Rng rng = dep.root_rng().fork("trace-driver");
 
-    const std::size_t n = dep.num_vantage_points();
     std::vector<std::unique_ptr<capture::Sniffer>> sniffers;
     std::vector<std::unique_ptr<workload::Player>> players;
     std::vector<std::unique_ptr<workload::RequestGenerator>> generators;
@@ -107,7 +120,9 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
 
     for (std::size_t i = 0; i < n; ++i) {
         auto& vp = dep.vantage(i);
+        sim::Simulator& shard = engine.shard(i % engine.num_shards());
         sniffers.push_back(std::make_unique<capture::Sniffer>(vp.name));
+        if (!sinks_.empty()) sniffers.back()->set_sink(sinks_[i]);
         workload::Player::Config player_cfg = player_config_;
         // EU2's legacy configuration still streams full-quality video from
         // the YouTube-EU AS (the paper's Table II shows 10.4% of EU2 bytes
@@ -127,26 +142,28 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
             player_cfg.max_abort_watch_frac = 0.70;
         }
         players.push_back(std::make_unique<workload::Player>(
-            simulator, dep.cdn(), dep.dns(), *sniffers.back(), player_cfg,
+            shard, dep.cdn(), dep.dns(), *sniffers.back(), player_cfg,
             rng.fork("player-" + vp.name),
             sim::TraceStream(tracer_, static_cast<std::uint8_t>(i))));
         generators.push_back(std::make_unique<workload::RequestGenerator>(
-            simulator, vp, *players.back(), dep.catalog(), gen_cfg,
+            shard, vp, *players.back(), dep.catalog(), gen_cfg,
             rng.fork("generator-" + vp.name)));
         // Background web traffic the DPI classifier must reject; it never
         // reaches the flow logs but keeps the capture path honest.
         noise.push_back(std::make_unique<workload::NoiseSource>(
-            simulator, vp, *sniffers.back(), workload::NoiseSource::Config{},
+            shard, vp, *sniffers.back(), workload::NoiseSource::Config{},
             rng.fork("noise-" + vp.name)));
     }
 
-    // The fault injector (if any faults are scheduled) shares the event
-    // queue with the workload; with an empty schedule nothing is created
-    // and the run is byte-identical to the pre-fault-injection baseline.
+    // The fault injector (if any faults are scheduled) lives on shard 0, so
+    // its timestamps enter the global merge exactly once. It arms before the
+    // generators run, so it holds the earlier queue sequence number at any
+    // same-instant workload event on its shard. With an empty schedule
+    // nothing is created and the run is byte-identical to a fault-free one.
     std::unique_ptr<sim::FaultInjector> injector;
     if (!dep.config().fault_schedule.empty()) {
         injector = std::make_unique<sim::FaultInjector>(
-            simulator, dep.config().fault_schedule);
+            engine.shard(0), dep.config().fault_schedule);
         bind_fault_handlers(*injector, dep, players);
         // Faults are deployment-wide, not tied to any vantage point; they
         // stream under the reserved index 0xFF.
@@ -159,10 +176,10 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     // Let in-flight sessions (redirect chains, pause resumes) drain past the
     // capture horizon, like a real capture that sees flows end after the
     // last request started.
-    simulator.run_until(horizon + 2.0 * sim::kHour);
+    engine.run_until(horizon + 2.0 * sim::kHour);
 
     TraceOutputs out;
-    out.events_processed = simulator.events_processed();
+    out.events_processed = engine.events_processed();
     out.faults_injected = injector ? injector->injected() : 0;
     out.datasets.reserve(n);
     // Join point for the per-VP interner shards: fold them in VP order into

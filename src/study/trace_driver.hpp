@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "capture/dataset.hpp"
-#include "sim/simulator.hpp"
+#include "capture/flow_sink.hpp"
+#include "sim/time.hpp"
 #include "sim/tracer.hpp"
 #include "study/deployment.hpp"
 #include "workload/player.hpp"
@@ -28,19 +31,24 @@ struct TraceOutputs {
     std::uint64_t unique_hosts = 0;
 };
 
-/// Binds a fault schedule's named targets (data-center cities, server
-/// hostnames, resolver names) to the deployment's CDN/DNS health machines.
-/// Shared by the legacy TraceDriver and the event-engine driver so both
-/// react to the same schedule identically; unknown targets throw — a chaos
-/// experiment aimed at a typo'd city must fail loudly, not run a clean
-/// baseline by accident.
-void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
-                         std::vector<std::unique_ptr<workload::Player>>& players);
-
 /// Runs the paper's capture campaign: all five vantage points generate
-/// traffic against the shared CDN on one discrete-event simulator (server
-/// load and cache state are global, as in reality), while a Tstat-like
-/// sniffer at each edge records its own dataset.
+/// traffic against the shared CDN (server load and cache state are global,
+/// as in reality), while a Tstat-like sniffer at each edge records its own
+/// dataset.
+///
+/// The simulation runs on the sharded sim::EventEngine (DESIGN.md §16).
+/// Each vantage point's components (player, request generator, noise
+/// source, sniffer) live on shard `vp % num_shards`; the engine pops events
+/// across shards in global (time, shard) order. Cross-shard timestamp ties
+/// do not occur in this workload (event times are sums of continuous RNG
+/// draws; fault times are schedule constants on shard 0), so every output
+/// byte is the same at any shard count — the engine counts ties as
+/// `sim.engine.cross_shard_ties` and Determinism.EventEngineShardInvariance
+/// asserts zero. tests/golden_digests.hpp pins the bytes.
+///
+/// RNG streams are forked by name from the deployment's root ("trace-driver",
+/// then "player-<vp>", "generator-<vp>", "noise-<vp>"), so they do not
+/// depend on construction order or shard layout.
 class TraceDriver {
 public:
     explicit TraceDriver(StudyDeployment& deployment)
@@ -50,21 +58,41 @@ public:
     /// TTL, abort rates, ... — used by the ablation benches).
     TraceDriver(StudyDeployment& deployment, const workload::Player::Config& player_config);
 
+    /// Number of engine shards; 0 (the default) means one shard per vantage
+    /// point. Output is byte-identical at any value.
+    void set_num_shards(std::size_t shards) noexcept { num_shards_ = shards; }
+
     /// Routes structured sim events to `tracer` (owned by the caller; may
     /// be null to disable). Each vantage point's player streams under its
     /// index; fault injections stream under vantage point 0xFF. Tracing
     /// consumes no randomness, so traced and untraced runs produce
-    /// byte-identical datasets.
+    /// byte-identical datasets, at any shard count.
     void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
 
+    /// Streaming capture: one sink per vantage point (parallel to the
+    /// deployment's VP order). With sinks installed, sniffers forward
+    /// records instead of accumulating them, so the returned datasets are
+    /// empty and memory stays bounded at any run length; counters, player
+    /// stats and host interning are unchanged. An empty vector (the
+    /// default) materializes the datasets.
+    void set_flow_sinks(std::vector<capture::FlowSink*> sinks) {
+        sinks_ = std::move(sinks);
+    }
+
     /// Simulates `horizon` seconds (default: the paper's one week) and
-    /// returns the per-vantage-point datasets, sorted by time.
+    /// returns the per-vantage-point datasets, sorted by time. Throws
+    /// std::invalid_argument when the sink count differs from the
+    /// vantage-point count, or when the fault schedule names an unknown
+    /// data center, server or resolver — a chaos experiment aimed at a
+    /// typo must fail loudly, not run a clean baseline by accident.
     [[nodiscard]] TraceOutputs run(sim::SimTime horizon = sim::kWeek);
 
 private:
     StudyDeployment* deployment_;
     workload::Player::Config player_config_;
     sim::Tracer* tracer_ = nullptr;
+    std::vector<capture::FlowSink*> sinks_;
+    std::size_t num_shards_ = 0;
 };
 
 }  // namespace ytcdn::study

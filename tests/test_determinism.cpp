@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,16 +16,19 @@
 #include "analysis/series.hpp"
 #include "geo/city.hpp"
 #include "geoloc/cbg.hpp"
+#include "golden_digests.hpp"
 #include "sim/tracer.hpp"
 #include "study/dc_map_builder.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
 #include "study/supervisor.hpp"
 #include "util/io.hpp"
+#include "util/metrics.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace geo = ytcdn::geo;
 namespace geoloc = ytcdn::geoloc;
+namespace golden = ytcdn::golden;
 namespace sim = ytcdn::sim;
 namespace study = ytcdn::study;
 
@@ -70,20 +74,12 @@ std::string render_artifacts(const study::StudyRun& run) {
 /// RNG, region clustering) — rendered with a locator built from scratch so the
 /// whole path is covered, not a shared calibration.
 std::string render_table3(const study::StudyRun& run, const study::StudyConfig& cfg) {
-    geoloc::LandmarkCounts counts;
-    counts.north_america = 24;
-    counts.europe = 24;
-    counts.asia = 8;
-    counts.south_america = 3;
-    counts.oceania = 2;
-    counts.africa = 1;
-    geoloc::CbgLocator::Config cbg_cfg;
-    cbg_cfg.grid = 48;
+    const auto opts = golden::reduced_table3_options();
     geoloc::CbgLocator locator(
         run.deployment->rtt(),
         geoloc::make_planetlab_landmarks(geo::CityDatabase::builtin(),
-                                         sim::Rng(cfg.seed ^ 0x9B), counts),
-        cbg_cfg, cfg.seed ^ 0xCB6);
+                                         sim::Rng(cfg.seed ^ 0x9B), opts.landmarks),
+        opts.cbg, cfg.seed ^ 0xCB6);
     locator.calibrate();
     std::vector<analysis::ContinentCounts> continent_counts;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
@@ -101,14 +97,7 @@ TEST(Determinism, ThreadCountInvariance) {
     // pipeline behind Table III — must render byte-identical output whether
     // it runs on one thread, two, or eight.
     const auto cfg = small_config();
-    study::ReportOptions opts;
-    opts.landmarks.north_america = 24;
-    opts.landmarks.europe = 24;
-    opts.landmarks.asia = 8;
-    opts.landmarks.south_america = 3;
-    opts.landmarks.oceania = 2;
-    opts.landmarks.africa = 1;
-    opts.cbg.grid = 48;
+    const auto opts = golden::reduced_table3_options();
 
     const auto render_at = [&](std::size_t threads) {
         ytcdn::util::ThreadPool pool(threads);
@@ -135,21 +124,18 @@ TEST(Determinism, RenderedArtifactsAreByteIdentical) {
 }
 
 TEST(Determinism, FlowTableEquivalence) {
-    // The SoA column-scan path (FlowTable + SessionTable + dc columns) and
-    // the AoS record-walk path must render the exact same report bytes —
-    // the layout change is a pure optimization, invisible in every
-    // artifact. Table III is orthogonal to the flow tables and expensive,
-    // so it is excluded here.
+    // The report's SoA column scans (FlowTable + SessionTable + dc columns)
+    // must render the exact bytes the AoS record walks rendered before they
+    // were retired — the layout change is a pure optimization, invisible in
+    // every artifact. The AoS output survives as a recorded digest; the
+    // per-function AoS reference lives on in test_flow_table. Table III is
+    // orthogonal to the flow tables and expensive, so it is excluded here.
     const auto run = study::run_study(small_config());
-    study::ReportOptions soa;
-    soa.include_table3 = false;
-    soa.use_flow_tables = true;
-    study::ReportOptions aos = soa;
-    aos.use_flow_tables = false;
-
-    const std::string soa_bytes = study::make_full_report(run, soa).render();
-    ASSERT_FALSE(soa_bytes.empty());
-    EXPECT_EQ(soa_bytes, study::make_full_report(run, aos).render());
+    study::ReportOptions opts;
+    opts.include_table3 = false;
+    const std::string bytes = study::make_full_report(run, opts).render();
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(golden::digest_of(bytes), golden::kScale0005[0].report);
 }
 
 TEST(Determinism, RenderedArtifactsWithFaultScheduleAreByteIdentical) {
@@ -223,12 +209,7 @@ TEST(Determinism, ChaosScheduleIsReproducible) {
     // A fault schedule is part of the configuration: two runs with the same
     // seed and the same outage script must be bit-identical too.
     auto cfg = small_config();
-    cfg.fault_schedule = ytcdn::sim::FaultSchedule::dc_outage(
-        "Dallas", 2.0 * ytcdn::sim::kDay, 1.5 * ytcdn::sim::kDay);
-    cfg.fault_schedule.add(3.0 * ytcdn::sim::kDay,
-                           ytcdn::sim::FaultAction::ResolverDown, "eu1-adsl");
-    cfg.fault_schedule.add(3.2 * ytcdn::sim::kDay,
-                           ytcdn::sim::FaultAction::ResolverUp, "eu1-adsl");
+    cfg.fault_schedule = golden::chaos_schedule();
 
     const auto a = study::run_study(cfg);
     const auto b = study::run_study(cfg);
@@ -256,44 +237,43 @@ TEST(Determinism, ChaosScheduleIsReproducible) {
     }
 }
 
+/// Current total of the engine's cross-shard tie counter; nullopt until the
+/// first engine run registers it.
+std::optional<std::uint64_t> cross_shard_ties() {
+    const auto snapshot = ytcdn::util::metrics::Registry::global().snapshot();
+    for (const auto& e : snapshot.entries) {
+        if (e.name == "sim.engine.cross_shard_ties") return e.value;
+    }
+    return std::nullopt;
+}
+
 TEST(Determinism, EventEngineShardInvariance) {
     // The sharded event engine is an execution detail, like thread count:
-    // any shard count must render the legacy driver's exact bytes — every
-    // report artifact and the full YTR1 structured trace — with and without
-    // an active fault schedule. This is what lets `use_event_engine`
-    // default on later without re-blessing a single golden file.
-    auto chaos = small_config();
-    chaos.fault_schedule = ytcdn::sim::FaultSchedule::dc_outage(
-        "Dallas", 2.0 * ytcdn::sim::kDay, 1.5 * ytcdn::sim::kDay);
-    chaos.fault_schedule.add(3.0 * ytcdn::sim::kDay,
-                             ytcdn::sim::FaultAction::ResolverDown, "eu1-adsl");
-    chaos.fault_schedule.add(3.2 * ytcdn::sim::kDay,
-                             ytcdn::sim::FaultAction::ResolverUp, "eu1-adsl");
+    // any shard count must reproduce the recorded digests of the
+    // single-queue driver — every dataset byte, every counter, the full
+    // YTR1 structured trace and the full report — with and without an
+    // active fault schedule. The invariance rests on cross-shard timestamp
+    // ties never occurring, so the engine's tie counter must stay at zero.
+    auto chaos = golden::config_at(0.02);
+    chaos.fault_schedule = golden::chaos_schedule();
+    ytcdn::util::ThreadPool pool(2);
 
     for (const bool with_faults : {false, true}) {
-        const auto cfg = with_faults ? chaos : small_config();
-        sim::Tracer legacy_tracer;
-        const auto legacy = study::run_study(cfg, &legacy_tracer);
-        const auto legacy_artifacts = render_artifacts(legacy);
-        const auto legacy_trace = sim::write_trace_bytes(legacy_tracer.log());
-        if (with_faults) {
-            ASSERT_EQ(legacy.traces.faults_injected, 4u);
-        }
-
+        auto cfg = with_faults ? chaos : golden::config_at(0.02);
+        const auto& expected =
+            with_faults ? golden::kScale002Faults : golden::kScale002;
         for (const std::size_t shards : {1u, 2u, 8u}) {
             SCOPED_TRACE("faults=" + std::to_string(with_faults) +
                          " shards=" + std::to_string(shards));
-            auto engine_cfg = cfg;
-            engine_cfg.use_event_engine = true;
-            engine_cfg.engine_shards = shards;
-            sim::Tracer engine_tracer;
-            const auto engine = study::run_study(engine_cfg, &engine_tracer);
-            EXPECT_EQ(engine.traces.faults_injected,
-                      legacy.traces.faults_injected);
-            EXPECT_EQ(engine.traces.events_processed,
-                      legacy.traces.events_processed);
-            EXPECT_EQ(render_artifacts(engine), legacy_artifacts);
-            EXPECT_EQ(sim::write_trace_bytes(engine_tracer.log()), legacy_trace);
+            cfg.engine_shards = shards;
+            const std::uint64_t ties_before = cross_shard_ties().value_or(0);
+            sim::Tracer tracer;
+            const auto run = study::run_study(cfg, pool, &tracer);
+            const auto ties_after = cross_shard_ties();
+            ASSERT_TRUE(ties_after.has_value());
+            EXPECT_EQ(*ties_after - ties_before, 0u);
+            EXPECT_EQ(run.traces.faults_injected, with_faults ? 4u : 0u);
+            EXPECT_EQ(golden::digests_of(run, &tracer, pool), expected);
         }
     }
 }
@@ -332,8 +312,12 @@ TEST(Determinism, CheckpointResume) {
         return report;
     };
 
+    // The resumed run rebuilds its flow tables from the checkpointed maps,
+    // so it renders through the same column scans as a cold run; both must
+    // match the recorded report of this configuration.
     const std::string serial = report_at(1, false);
     ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(golden::digest_of(serial), golden::kScale0005[0].report);
     EXPECT_EQ(serial, report_at(1, true));
     EXPECT_EQ(serial, report_at(8, false));
     EXPECT_EQ(serial, report_at(8, true));

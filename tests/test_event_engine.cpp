@@ -1,67 +1,30 @@
-// Engine-equivalence battery: the sharded event engine must be a drop-in
-// replacement for the legacy single-queue TraceDriver, byte for byte —
-// every flow record, every trace event, every report artifact. These tests
-// are what let the engine toggle default on later without re-blessing any
-// golden output.
+// Engine battery: the merge protocol of the sharded event engine, and the
+// golden digests (tests/golden_digests.hpp) the engine-driven study must
+// reproduce byte for byte — every flow record, every counter, every trace
+// event, every report artifact — at any shard and thread count. The
+// digests were recorded from the single-queue legacy driver and the AoS
+// report before both were deleted, so "legacy" below names those recorded
+// outputs.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "capture/binary_log.hpp"
+#include "golden_digests.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/tracer.hpp"
-#include "study/event_engine_driver.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
 
-namespace capture = ytcdn::capture;
+namespace golden = ytcdn::golden;
 namespace sim = ytcdn::sim;
 namespace study = ytcdn::study;
+namespace util = ytcdn::util;
 
 namespace {
-
-study::StudyConfig config_at(double scale, std::uint64_t seed = 0xCDA1'2011ull) {
-    study::StudyConfig cfg;
-    cfg.scale = scale;
-    cfg.seed = seed;
-    return cfg;
-}
-
-/// Serializes every dataset of a run to YFL2 bytes — the strictest
-/// comparison the capture side admits (field-exact including float bits).
-std::string dataset_bytes(const study::StudyRun& run) {
-    std::ostringstream os;
-    for (const auto& ds : run.traces.datasets) {
-        os << ds.name << '\n';
-        capture::write_binary_log(os, ds.records);
-    }
-    return os.str();
-}
-
-void expect_outputs_equal(const study::StudyRun& legacy,
-                          const study::StudyRun& engine) {
-    EXPECT_EQ(dataset_bytes(legacy), dataset_bytes(engine));
-    EXPECT_EQ(legacy.traces.events_processed, engine.traces.events_processed);
-    EXPECT_EQ(legacy.traces.flows_observed, engine.traces.flows_observed);
-    EXPECT_EQ(legacy.traces.flows_ignored, engine.traces.flows_ignored);
-    EXPECT_EQ(legacy.traces.requests_generated, engine.traces.requests_generated);
-    EXPECT_EQ(legacy.traces.unique_hosts, engine.traces.unique_hosts);
-    EXPECT_EQ(legacy.preferred, engine.preferred);
-    ASSERT_EQ(legacy.traces.player_stats.size(), engine.traces.player_stats.size());
-    for (std::size_t i = 0; i < legacy.traces.player_stats.size(); ++i) {
-        const auto& a = legacy.traces.player_stats[i];
-        const auto& b = engine.traces.player_stats[i];
-        EXPECT_EQ(a.video_flows, b.video_flows) << i;
-        EXPECT_EQ(a.redirects_miss, b.redirects_miss) << i;
-        EXPECT_EQ(a.redirects_overload, b.redirects_overload) << i;
-        EXPECT_EQ(a.failovers, b.failovers) << i;
-        EXPECT_EQ(a.retry_histogram, b.retry_histogram) << i;
-    }
-}
 
 TEST(EventEngine, SingleShardIsExactlyTheLegacySimulator) {
     // The degenerate case underpinning the whole equivalence argument: with
@@ -108,138 +71,88 @@ TEST(EventEngine, EventsScheduledDuringMergeAreInterleaved) {
     EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
 }
 
+TEST(EventEngine, CountsCrossShardTies) {
+    // Equal head timestamps on two shards are the one place the shard
+    // layout could steer a run; the merge counts every pop that won one.
+    sim::EventEngine engine(3);
+    engine.shard(0).schedule_at(1.0, [] {});
+    engine.shard(1).schedule_at(1.0, [] {});  // tie with shard 0
+    engine.shard(2).schedule_at(2.0, [] {});
+    engine.shard(1).schedule_at(3.0, [] {});
+    engine.shard(2).schedule_at(3.0, [] {});  // tie with shard 1
+    engine.shard(0).schedule_at(20.0, [] {});
+    engine.shard(1).schedule_at(20.0, [] {});  // past the horizon: not run
+    engine.run_until(10.0);
+    EXPECT_EQ(engine.events_processed(), 5u);
+    EXPECT_EQ(engine.cross_shard_ties(), 2u);
+
+    // Same-shard equal timestamps are ordered by the shard's own queue.
+    sim::EventEngine single(1);
+    single.shard(0).schedule_at(1.0, [] {});
+    single.shard(0).schedule_at(1.0, [] {});
+    single.run_until(10.0);
+    EXPECT_EQ(single.cross_shard_ties(), 0u);
+}
+
 TEST(EventEngine, FullReportMatchesLegacyAtSmallScale) {
-    // The whole paper-facing surface at scale 0.02: every table and figure
-    // the report renders (Table III's CBG pipeline included, with the
-    // reduced landmark set the determinism suite uses) must be
-    // byte-identical between the two drivers.
-    const auto cfg = config_at(0.02);
-    auto engine_cfg = cfg;
-    engine_cfg.use_event_engine = true;
-
-    const auto legacy = study::run_study(cfg);
-    const auto engine = study::run_study(engine_cfg);
-    expect_outputs_equal(legacy, engine);
-
-    study::ReportOptions opts;
-    opts.landmarks.north_america = 24;
-    opts.landmarks.europe = 24;
-    opts.landmarks.asia = 8;
-    opts.landmarks.south_america = 3;
-    opts.landmarks.oceania = 2;
-    opts.landmarks.africa = 1;
-    opts.cbg.grid = 48;
-    const std::string legacy_report = study::make_full_report(legacy, opts).render();
-    ASSERT_FALSE(legacy_report.empty());
-    EXPECT_EQ(legacy_report, study::make_full_report(engine, opts).render());
+    // The whole paper-facing surface at scale 0.02 — every table and figure
+    // the report renders, Table III's CBG pipeline included with the reduced
+    // landmark set — must reproduce the recorded digests at 1, 2 and 8
+    // threads.
+    const auto cfg = golden::config_at(0.02);
+    const auto opts = golden::reduced_table3_options();
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        util::ThreadPool pool(threads);
+        sim::Tracer tracer;
+        const auto run = study::run_study(cfg, pool, &tracer);
+        EXPECT_EQ(golden::digests_of(run, &tracer, pool), golden::kScale002);
+        EXPECT_EQ(golden::digest_of(study::make_full_report(run, pool, opts).render()),
+                  golden::kScale002ReportWithTable3);
+    }
 }
 
 TEST(EventEngine, FullReportMatchesLegacyAtBenchScale) {
-    // Same comparison at the bench suite's scale (0.15) — large enough
-    // that server-load redirects, cache pulls and the EU2 capacity model
-    // all engage. Table III is orthogonal to the drivers and dominates
-    // wall time, so the report here excludes it.
-    const auto cfg = config_at(0.15);
-    auto engine_cfg = cfg;
-    engine_cfg.use_event_engine = true;
-
-    const auto legacy = study::run_study(cfg);
-    const auto engine = study::run_study(engine_cfg);
-    expect_outputs_equal(legacy, engine);
-
-    study::ReportOptions opts;
-    opts.include_table3 = false;
-    const std::string legacy_report = study::make_full_report(legacy, opts).render();
-    ASSERT_FALSE(legacy_report.empty());
-    EXPECT_EQ(legacy_report, study::make_full_report(engine, opts).render());
+    // Same check at the bench suite's scale (0.15) — large enough that
+    // server-load redirects, cache pulls and the EU2 capacity model all
+    // engage. Table III is orthogonal to the driver and dominates wall time,
+    // so the report here excludes it.
+    util::ThreadPool pool(2);
+    const auto run = study::run_study(golden::config_at(0.15), pool);
+    EXPECT_EQ(golden::digests_of(run, nullptr, pool), golden::kScale015);
 }
 
 TEST(EventEngine, PerSessionFlowSequencesMatchAcrossSeedsAndShardCounts) {
-    // Randomized property: for a spread of seeds and shard counts, every
-    // session's full event sequence — DNS answers, DC selections, redirect
-    // chains, retries, flow starts — matches the legacy driver exactly.
-    // The YTR1 byte-compare covers emission order globally; the timeline
-    // walk pins the per-session view the paper's analyses consume.
-    const std::uint64_t seeds[] = {0xCDA1'2011ull, 0xDEAD'BEEFull, 0x1234'5678ull};
-    for (const std::uint64_t seed : seeds) {
-        const auto cfg = config_at(0.005, seed);
-        sim::Tracer legacy_tracer;
-        const auto legacy = study::run_study(cfg, &legacy_tracer);
-        const std::string legacy_trace =
-            sim::write_trace_bytes(legacy_tracer.log());
-        const auto legacy_timelines =
-            sim::session_timelines(legacy_tracer.log());
-        ASSERT_FALSE(legacy_timelines.empty());
-
-        for (const std::size_t shards : {2u, 5u}) {
-            auto engine_cfg = cfg;
-            engine_cfg.use_event_engine = true;
-            engine_cfg.engine_shards = shards;
-            sim::Tracer engine_tracer;
-            const auto engine = study::run_study(engine_cfg, &engine_tracer);
-            SCOPED_TRACE("seed=" + std::to_string(seed) +
+    // Randomized property: for a spread of seeds and shard counts, the YTR1
+    // trace — DNS answers, DC selections, redirect chains, retries, flow
+    // starts — and every dataset byte reproduce the recorded digests, and
+    // every session's event sequence is the same at each shard count (the
+    // per-session view the paper's analyses consume).
+    util::ThreadPool pool(2);
+    for (std::size_t k = 0; k < std::size(golden::kSeeds0005); ++k) {
+        auto cfg = golden::config_at(0.005, golden::kSeeds0005[k]);
+        std::vector<sim::SessionTimeline> reference;
+        for (const std::size_t shards : {1u, 2u, 5u}) {
+            SCOPED_TRACE("seed=" + std::to_string(golden::kSeeds0005[k]) +
                          " shards=" + std::to_string(shards));
-            expect_outputs_equal(legacy, engine);
-            EXPECT_EQ(legacy_trace, sim::write_trace_bytes(engine_tracer.log()));
-            const auto engine_timelines =
-                sim::session_timelines(engine_tracer.log());
-            ASSERT_EQ(legacy_timelines.size(), engine_timelines.size());
-            for (std::size_t s = 0; s < legacy_timelines.size(); ++s) {
-                EXPECT_EQ(legacy_timelines[s].vp, engine_timelines[s].vp);
-                EXPECT_EQ(legacy_timelines[s].session, engine_timelines[s].session);
-                EXPECT_EQ(legacy_timelines[s].events, engine_timelines[s].events);
+            cfg.engine_shards = shards;
+            sim::Tracer tracer;
+            const auto run = study::run_study(cfg, pool, &tracer);
+            EXPECT_EQ(golden::digests_of(run, &tracer, pool), golden::kScale0005[k]);
+            const auto timelines = sim::session_timelines(tracer.log());
+            ASSERT_FALSE(timelines.empty());
+            if (reference.empty()) {
+                reference = timelines;
+                continue;
+            }
+            ASSERT_EQ(reference.size(), timelines.size());
+            for (std::size_t s = 0; s < reference.size(); ++s) {
+                EXPECT_EQ(reference[s].vp, timelines[s].vp);
+                EXPECT_EQ(reference[s].session, timelines[s].session);
+                EXPECT_EQ(reference[s].events, timelines[s].events);
             }
         }
     }
-}
-
-TEST(EventEngine, StreamingSinksSeeTheExactMaterializedRecords) {
-    // Sink mode is the bounded-memory capture path: the forwarded stream
-    // must carry the same records the materializing run accumulates, each
-    // VP's stream sorted by non-decreasing start time (the precondition
-    // the incremental analyses rely on), and the returned datasets must
-    // stay empty while every counter still matches.
-    const auto cfg = config_at(0.005);
-    const auto legacy = study::run_study(cfg);
-
-    struct Collect : capture::FlowSink {
-        std::vector<capture::FlowRecord> records;
-        void on_flow(const capture::FlowRecord& r) override {
-            records.push_back(r);
-        }
-    };
-    std::vector<Collect> collectors(study::kNumVantagePoints);
-    std::vector<capture::FlowSink*> sinks;
-    for (auto& c : collectors) sinks.push_back(&c);
-
-    study::StudyDeployment dep(cfg);
-    study::EventEngineDriver driver(dep);
-    driver.set_flow_sinks(std::move(sinks));
-    const auto streamed = driver.run();
-
-    ASSERT_EQ(streamed.datasets.size(), legacy.traces.datasets.size());
-    for (std::size_t i = 0; i < streamed.datasets.size(); ++i) {
-        EXPECT_TRUE(streamed.datasets[i].records.empty()) << i;
-        EXPECT_EQ(streamed.flows_observed[i], legacy.traces.flows_observed[i]);
-        EXPECT_EQ(streamed.flows_ignored[i], legacy.traces.flows_ignored[i]);
-
-        // The stream arrives start-sorted...
-        const auto& got = collectors[i].records;
-        for (std::size_t k = 1; k < got.size(); ++k) {
-            ASSERT_LE(got[k - 1].start, got[k].start) << i << "/" << k;
-        }
-        // ...and sorting it like the legacy join does yields the exact
-        // dataset the materializing driver produced.
-        capture::Dataset ds;
-        ds.name = legacy.traces.datasets[i].name;
-        ds.records = got;
-        ds.sort_by_time();
-        std::ostringstream a, b;
-        capture::write_binary_log(a, ds.records);
-        capture::write_binary_log(b, legacy.traces.datasets[i].records);
-        EXPECT_EQ(a.str(), b.str()) << i;
-    }
-    EXPECT_EQ(streamed.unique_hosts, legacy.traces.unique_hosts);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -51,6 +53,25 @@ TEST(EventQueue, ClearResets) {
     q.push(1.0, [] {});
     q.clear();
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, InvokedTasksDestroyTheirCaptures) {
+    // A task's captured state is released after it runs — also when the
+    // callback throws — just as clear() releases un-run tasks.
+    const auto live = std::make_shared<int>(0);
+    sim::EventQueue q;
+    q.push(1.0, [live] {});
+    q.push(2.0, [live] { throw std::runtime_error("handler failed"); });
+    q.push(3.0, [live] {});
+    EXPECT_EQ(live.use_count(), 4);
+    sim::SimTime t = 0;
+    q.pop(t)();
+    EXPECT_EQ(live.use_count(), 3);
+    auto failing = q.pop(t);
+    EXPECT_THROW(failing(), std::runtime_error);
+    EXPECT_EQ(live.use_count(), 2);
+    q.clear();
+    EXPECT_EQ(live.use_count(), 1);
 }
 
 TEST(Simulator, NowAdvancesWithEvents) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <vector>
+
 #include "analysis/session.hpp"
+#include "capture/binary_log.hpp"
 #include "net/as_registry.hpp"
+#include "sim/fault_injector.hpp"
 
 namespace study = ytcdn::study;
+namespace capture = ytcdn::capture;
+namespace sim = ytcdn::sim;
 namespace workload = ytcdn::workload;
 namespace analysis = ytcdn::analysis;
 namespace net = ytcdn::net;
@@ -104,6 +112,84 @@ TEST(TraceDriver, SharedCdnStateAcrossVantagePoints) {
         pulled_total += deployment.cdn().cache(dc.id).pulled_count();
     }
     EXPECT_GT(pulled_total, 0u);
+}
+
+TEST(TraceDriver, UnknownFaultTargetsFailLoudly) {
+    // A chaos experiment aimed at a typo'd target must throw, not quietly
+    // run a healthy baseline.
+    const std::pair<sim::FaultAction, const char*> bad[] = {
+        {sim::FaultAction::DcDown, "Atlantis"},
+        {sim::FaultAction::ServerDrain, "no-such-server.example"},
+        {sim::FaultAction::ResolverDown, "no-such-resolver"},
+    };
+    for (const auto& [action, target] : bad) {
+        SCOPED_TRACE(target);
+        auto cfg = tiny_config();
+        cfg.fault_schedule.add(60.0, action, target);
+        study::StudyDeployment deployment(cfg);
+        study::TraceDriver driver(deployment);
+        EXPECT_THROW((void)driver.run(ytcdn::sim::kHour), std::invalid_argument);
+    }
+}
+
+TEST(TraceDriver, SinkCountMustMatchVantagePoints) {
+    study::StudyDeployment deployment(tiny_config());
+    struct Discard : capture::FlowSink {
+        void on_flow(const capture::FlowRecord&) override {}
+    } sink;
+    study::TraceDriver driver(deployment);
+    driver.set_flow_sinks(std::vector<capture::FlowSink*>(
+        deployment.num_vantage_points() - 1, &sink));
+    EXPECT_THROW((void)driver.run(ytcdn::sim::kHour), std::invalid_argument);
+}
+
+TEST(TraceDriver, StreamingSinksSeeTheExactMaterializedRecords) {
+    // Sink mode is the bounded-memory capture path: the forwarded stream
+    // must carry the same records the materializing run accumulates, each
+    // VP's stream sorted by non-decreasing start time (the precondition
+    // the incremental analyses rely on), and the returned datasets must
+    // stay empty while every counter still matches.
+    study::StudyDeployment reference_dep(tiny_config());
+    const auto materialized = study::TraceDriver(reference_dep).run();
+
+    struct Collect : capture::FlowSink {
+        std::vector<capture::FlowRecord> records;
+        void on_flow(const capture::FlowRecord& r) override {
+            records.push_back(r);
+        }
+    };
+    std::vector<Collect> collectors(study::kNumVantagePoints);
+    std::vector<capture::FlowSink*> sinks;
+    for (auto& c : collectors) sinks.push_back(&c);
+
+    study::StudyDeployment dep(tiny_config());
+    study::TraceDriver driver(dep);
+    driver.set_flow_sinks(std::move(sinks));
+    const auto streamed = driver.run();
+
+    ASSERT_EQ(streamed.datasets.size(), materialized.datasets.size());
+    for (std::size_t i = 0; i < streamed.datasets.size(); ++i) {
+        EXPECT_TRUE(streamed.datasets[i].records.empty()) << i;
+        EXPECT_EQ(streamed.flows_observed[i], materialized.flows_observed[i]);
+        EXPECT_EQ(streamed.flows_ignored[i], materialized.flows_ignored[i]);
+
+        // The stream arrives start-sorted...
+        const auto& got = collectors[i].records;
+        for (std::size_t k = 1; k < got.size(); ++k) {
+            ASSERT_LE(got[k - 1].start, got[k].start) << i << "/" << k;
+        }
+        // ...and sorting it like the materializing join does yields the
+        // exact dataset the materializing run produced.
+        capture::Dataset ds;
+        ds.name = materialized.datasets[i].name;
+        ds.records = got;
+        ds.sort_by_time();
+        std::ostringstream a, b;
+        capture::write_binary_log(a, ds.records);
+        capture::write_binary_log(b, materialized.datasets[i].records);
+        EXPECT_EQ(a.str(), b.str()) << i;
+    }
+    EXPECT_EQ(streamed.unique_hosts, materialized.unique_hosts);
 }
 
 }  // namespace
