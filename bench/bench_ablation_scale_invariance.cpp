@@ -7,7 +7,6 @@
 
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
@@ -30,8 +29,7 @@ ShapeMetrics measure(double scale) {
 
     ShapeMetrics m;
     const auto us = run.vp_index("US-Campus");
-    m.single_flow = analysis::flows_per_session_cdf(
-        analysis::build_sessions(run.traces.datasets[us], 1.0))[0];
+    m.single_flow = analysis::flows_per_session_cdf(run.sessions[us])[0];
     m.preferred_bytes =
         1.0 - analysis::non_preferred_share(run.traces.datasets[us], run.maps[us],
                                             run.preferred[us])

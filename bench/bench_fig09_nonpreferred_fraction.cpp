@@ -45,20 +45,6 @@ void bm_hourly_fraction(benchmark::State& state) {
 }
 BENCHMARK(bm_hourly_fraction)->Unit(benchmark::kMillisecond);
 
-// Same figure over the SoA mirror: two contiguous column scans (start hour
-// and pre-resolved data center) instead of a record walk with a hash
-// lookup per flow.
-void bm_hourly_fraction_soa(benchmark::State& state) {
-    const auto& run = bench::shared_run();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::hourly_non_preferred_fraction(
-            run.tables[4], run.dc_columns[4], run.preferred[4]));
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(run.tables[4].size()));
-}
-BENCHMARK(bm_hourly_fraction_soa)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 YTCDN_BENCH_MAIN(print_reproduction)

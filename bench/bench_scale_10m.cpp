@@ -5,7 +5,9 @@
 // BENCH_results.json's internal_counters: scale.sessions_per_sec
 // (throughput) and scale.peak_rss_self_kib (bounded memory). The binary
 // *asserts* the memory bound — exceeding the ceiling is exit 1, not a
-// number in a report someone has to notice.
+// number in a report someone has to notice — and, the same way, that the
+// event engine merged no cross-shard timestamp ties
+// (sim.engine.cross_shard_ties), the assumption shard invariance rests on.
 //
 // Workload knobs (all env):
 //   YTCDN_SCALE_SESSIONS        target session count (default 100000 so
@@ -69,6 +71,14 @@ std::uint64_t peak_rss_self_kib() {
 // The bounded-memory verdict; main() turns false into exit 1 *after* the
 // metrics snapshot is written, so a failing run still reports its numbers.
 bool g_rss_ok = true;
+
+/// Cross-shard timestamp ties merged by every engine run so far.
+std::uint64_t cross_shard_ties() {
+    for (const auto& e : util::metrics::Registry::global().snapshot().entries) {
+        if (e.name == "sim.engine.cross_shard_ties") return e.value;
+    }
+    return 0;
+}
 
 struct ScaleBenchMetrics {
     util::metrics::Gauge sessions = util::metrics::gauge("scale.sessions");
@@ -165,8 +175,9 @@ void print_reproduction() {
 
 }  // namespace
 
-// Not YTCDN_BENCH_MAIN: the exit code must carry the bounded-memory
-// verdict, and the metrics snapshot must be written first either way.
+// Not YTCDN_BENCH_MAIN: the exit code must carry the bounded-memory and
+// zero-ties verdicts, and the metrics snapshot must be written first either
+// way.
 int main(int argc, char** argv) {
     print_reproduction();
     ::benchmark::Initialize(&argc, argv);
@@ -176,10 +187,16 @@ int main(int argc, char** argv) {
     ::benchmark::RunSpecifiedBenchmarks();
     ::benchmark::Shutdown();
     ytcdn::bench::dump_metrics_snapshot();
+    int status = 0;
     if (!g_rss_ok) {
         std::cerr << "bench_scale_10m: bounded-memory assertion failed (see "
                      "benchmark error above)\n";
-        return 1;
+        status = 1;
     }
-    return 0;
+    if (const auto ties = cross_shard_ties(); ties > 0) {
+        std::cerr << "bench_scale_10m: " << ties
+                  << " cross-shard timestamp ties; shard invariance does not hold\n";
+        status = 1;
+    }
+    return status;
 }

@@ -10,7 +10,6 @@
 
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
@@ -42,8 +41,8 @@ int main(int argc, char** argv) {
         const auto& map = run.maps[i];
         const int pref = run.preferred[i];
         const auto share = analysis::non_preferred_share(ds, map, pref);
-        const auto sessions = analysis::build_sessions(ds, 1.0);
-        const auto patterns = analysis::session_patterns(sessions, map, pref);
+        const auto patterns =
+            analysis::session_patterns(run.sessions[i], run.dc_columns[i], pref);
         sel.add_row({ds.name, map.info(pref).name,
                      analysis::fmt(map.info(pref).rtt_ms, 1),
                      analysis::fmt_pct(1.0 - share.byte_fraction, 1),

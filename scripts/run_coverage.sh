@@ -7,6 +7,7 @@
 #   analysis/loadbalance_analysis >= 80%
 #   analysis/redirect_analysis    >= 80%
 #   analysis/subnet_analysis      >= 80%
+#   analysis/streaming            >= 80%  (the §VII folds those three run)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -79,6 +80,7 @@ floors = [
     ("loadbalance_analysis", ["src/analysis/loadbalance_analysis"], 80.0),
     ("redirect_analysis", ["src/analysis/redirect_analysis"], 80.0),
     ("subnet_analysis", ["src/analysis/subnet_analysis"], 80.0),
+    ("streaming", ["src/analysis/streaming"], 80.0),
 ]
 
 failed = False

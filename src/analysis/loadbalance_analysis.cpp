@@ -2,116 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
-#include "analysis/session.hpp"
-#include "sim/time.hpp"
+#include "analysis/streaming.hpp"
 
 namespace ytcdn::analysis {
 
 namespace {
 
-struct HourTally {
-    std::vector<std::uint64_t> all;
-    std::vector<std::uint64_t> preferred;
-};
-
-HourTally tally_hours(const capture::Dataset& dataset, const ServerDcMap& map,
-                      int preferred) {
-    HourTally t;
-    for (const auto& r : dataset.records) {
-        if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(r.start));
-        if (hour >= t.all.size()) {
-            t.all.resize(hour + 1, 0);
-            t.preferred.resize(hour + 1, 0);
-        }
-        ++t.all[hour];
-        if (dc == preferred) ++t.preferred[hour];
-    }
-    return t;
-}
-
-HourTally tally_hours(const capture::FlowTable& table, std::span<const int> dc_col,
-                      int preferred) {
-    HourTally t;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(table.start[i]));
-        if (hour >= t.all.size()) {
-            t.all.resize(hour + 1, 0);
-            t.preferred.resize(hour + 1, 0);
-        }
-        ++t.all[hour];
-        if (dc == preferred) ++t.preferred[hour];
-    }
-    return t;
-}
-
-EmpiricalCdf non_preferred_cdf(const HourTally& t) {
-    EmpiricalCdf cdf;
-    for (std::size_t h = 0; h < t.all.size(); ++h) {
-        if (t.all[h] == 0) continue;  // empty slots carry no sample
-        const double np = static_cast<double>(t.all[h] - t.preferred[h]);
-        cdf.add(np / static_cast<double>(t.all[h]));
-    }
-    cdf.finalize();
-    return cdf;
-}
-
-HourlyLoadSeries preferred_series(const HourTally& t, const std::string& name) {
-    HourlyLoadSeries out;
-    out.fraction_preferred.name = name + " fraction-to-preferred";
-    out.flows_per_hour.name = name + " video-flows-per-hour";
-    for (std::size_t h = 0; h < t.all.size(); ++h) {
-        const double x = static_cast<double>(h);
-        out.flows_per_hour.points.emplace_back(x, static_cast<double>(t.all[h]));
-        if (t.all[h] > 0) {
-            out.fraction_preferred.points.emplace_back(
-                x, static_cast<double>(t.preferred[h]) /
-                       static_cast<double>(t.all[h]));
-        }
-    }
-    return out;
-}
-
-double correlation_of(const HourTally& t, std::uint64_t min_flows) {
-    Series flows, np_fraction;
-    for (std::size_t h = 0; h < t.all.size(); ++h) {
-        if (t.all[h] < min_flows) continue;
-        const double x = static_cast<double>(h);
-        flows.points.emplace_back(x, static_cast<double>(t.all[h]));
-        np_fraction.points.emplace_back(
-            x, static_cast<double>(t.all[h] - t.preferred[h]) /
-                   static_cast<double>(t.all[h]));
-    }
-    return pearson_correlation(flows, np_fraction);
+IncrementalHourlyLoad hourly_load(const capture::Dataset& dataset,
+                                  const ServerDcMap& map, int preferred) {
+    return fold_dataset(dataset, dc_column(dataset, map),
+                        IncrementalHourlyLoad(preferred, dataset.name));
 }
 
 }  // namespace
 
 EmpiricalCdf hourly_non_preferred_fraction(const capture::Dataset& dataset,
                                            const ServerDcMap& map, int preferred) {
-    return non_preferred_cdf(tally_hours(dataset, map, preferred));
-}
-
-EmpiricalCdf hourly_non_preferred_fraction(const capture::FlowTable& table,
-                                           std::span<const int> dc, int preferred) {
-    return non_preferred_cdf(tally_hours(table, dc, preferred));
+    return hourly_load(dataset, map, preferred).non_preferred_cdf();
 }
 
 HourlyLoadSeries hourly_preferred_series(const capture::Dataset& dataset,
                                          const ServerDcMap& map, int preferred) {
-    return preferred_series(tally_hours(dataset, map, preferred), dataset.name);
-}
-
-HourlyLoadSeries hourly_preferred_series(const capture::FlowTable& table,
-                                         std::span<const int> dc, int preferred) {
-    return preferred_series(tally_hours(table, dc, preferred), table.name);
+    return hourly_load(dataset, map, preferred).preferred_series();
 }
 
 double pearson_correlation(const Series& a, const Series& b) {
@@ -139,13 +52,7 @@ double pearson_correlation(const Series& a, const Series& b) {
 double load_vs_nonpreferred_correlation(const capture::Dataset& dataset,
                                         const ServerDcMap& map, int preferred,
                                         std::uint64_t min_flows) {
-    return correlation_of(tally_hours(dataset, map, preferred), min_flows);
-}
-
-double load_vs_nonpreferred_correlation(const capture::FlowTable& table,
-                                        std::span<const int> dc, int preferred,
-                                        std::uint64_t min_flows) {
-    return correlation_of(tally_hours(table, dc, preferred), min_flows);
+    return hourly_load(dataset, map, preferred).correlation(min_flows);
 }
 
 }  // namespace ytcdn::analysis

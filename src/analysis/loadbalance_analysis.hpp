@@ -1,12 +1,11 @@
 #pragma once
 
-#include <span>
+#include <cstdint>
 
 #include "analysis/dc_map.hpp"
 #include "analysis/series.hpp"
 #include "analysis/stats.hpp"
 #include "capture/dataset.hpp"
-#include "capture/flow_table.hpp"
 
 namespace ytcdn::analysis {
 
@@ -37,18 +36,6 @@ struct HourlyLoadSeries {
 /// fraction/hour) over hours with at least `min_flows` video flows.
 [[nodiscard]] double load_vs_nonpreferred_correlation(const capture::Dataset& dataset,
                                                       const ServerDcMap& map,
-                                                      int preferred,
-                                                      std::uint64_t min_flows = 5);
-
-/// Column-scan equivalents over the SoA mirror; `dc` is the table's
-/// dc_column (see analysis/session_table.hpp). Bit-identical results.
-[[nodiscard]] EmpiricalCdf hourly_non_preferred_fraction(
-    const capture::FlowTable& table, std::span<const int> dc, int preferred);
-[[nodiscard]] HourlyLoadSeries hourly_preferred_series(const capture::FlowTable& table,
-                                                       std::span<const int> dc,
-                                                       int preferred);
-[[nodiscard]] double load_vs_nonpreferred_correlation(const capture::FlowTable& table,
-                                                      std::span<const int> dc,
                                                       int preferred,
                                                       std::uint64_t min_flows = 5);
 

@@ -3,57 +3,18 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "analysis/session.hpp"
+#include "analysis/streaming.hpp"
 #include "sim/time.hpp"
 
 namespace ytcdn::analysis {
 
 namespace {
 
-std::unordered_map<cdn::VideoId, std::uint64_t> non_preferred_per_video(
-    const capture::Dataset& dataset, const ServerDcMap& map, int preferred) {
-    std::unordered_map<cdn::VideoId, std::uint64_t> counts;
-    for (const auto& r : dataset.records) {
-        if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0 || dc == preferred) continue;
-        ++counts[r.video];
-    }
-    return counts;
-}
-
-std::unordered_map<cdn::VideoId, std::uint64_t> non_preferred_per_video(
-    const capture::FlowTable& table, std::span<const int> dc_col, int preferred) {
-    std::unordered_map<cdn::VideoId, std::uint64_t> counts;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0 || dc == preferred) continue;
-        ++counts[table.video[i]];
-    }
-    return counts;
-}
-
-EmpiricalCdf counts_to_cdf(const std::unordered_map<cdn::VideoId, std::uint64_t>& counts) {
-    EmpiricalCdf cdf;
-    for (const auto& [video, count] : counts) cdf.add(static_cast<double>(count));
-    cdf.finalize();
-    return cdf;
-}
-
-std::vector<cdn::VideoId> rank_counts(
-    const std::unordered_map<cdn::VideoId, std::uint64_t>& counts, std::size_t k) {
-    std::vector<std::pair<std::uint64_t, cdn::VideoId>> ranked;
-    ranked.reserve(counts.size());
-    for (const auto& [video, count] : counts) ranked.emplace_back(count, video);
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return a.second < b.second;
-    });
-    if (ranked.size() > k) ranked.resize(k);
-    std::vector<cdn::VideoId> out;
-    out.reserve(ranked.size());
-    for (const auto& [count, video] : ranked) out.push_back(video);
-    return out;
+IncrementalVideoRedirects video_redirects(const capture::Dataset& dataset,
+                                          const ServerDcMap& map, int preferred) {
+    return fold_dataset(dataset, dc_column(dataset, map),
+                        IncrementalVideoRedirects(preferred));
 }
 
 void bump_hour(std::vector<std::uint64_t>& v, sim::SimTime t) {
@@ -75,38 +36,33 @@ Series to_series(const std::vector<std::uint64_t>& hours, std::string name) {
 
 EmpiricalCdf video_non_preferred_counts(const capture::Dataset& dataset,
                                         const ServerDcMap& map, int preferred) {
-    return counts_to_cdf(non_preferred_per_video(dataset, map, preferred));
-}
-
-EmpiricalCdf video_non_preferred_counts(const capture::FlowTable& table,
-                                        std::span<const int> dc, int preferred) {
-    return counts_to_cdf(non_preferred_per_video(table, dc, preferred));
+    return video_redirects(dataset, map, preferred).counts_cdf();
 }
 
 std::vector<cdn::VideoId> top_redirected_videos(const capture::Dataset& dataset,
                                                 const ServerDcMap& map, int preferred,
                                                 std::size_t k) {
-    return rank_counts(non_preferred_per_video(dataset, map, preferred), k);
-}
-
-std::vector<cdn::VideoId> top_redirected_videos(const capture::FlowTable& table,
-                                                std::span<const int> dc, int preferred,
-                                                std::size_t k) {
-    return rank_counts(non_preferred_per_video(table, dc, preferred), k);
+    return video_redirects(dataset, map, preferred).top_videos(k);
 }
 
 VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
                                   const ServerDcMap& map, int preferred,
                                   cdn::VideoId video) {
+    return video_hourly_load(dataset, dc_column(dataset, map), preferred, video);
+}
+
+VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
+                                  std::span<const int> dc, int preferred,
+                                  cdn::VideoId video) {
     std::vector<std::uint64_t> all;
     std::vector<std::uint64_t> np;
-    for (const auto& r : dataset.records) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        const auto& r = dataset.records[i];
         if (r.video != video) continue;
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
+        if (dc[i] < 0) continue;
         bump_hour(all, r.start);
-        if (dc != preferred) bump_hour(np, r.start);
+        if (dc[i] != preferred) bump_hour(np, r.start);
     }
     np.resize(all.size(), 0);
     VideoLoadSeries out;
@@ -115,98 +71,38 @@ VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
     return out;
 }
 
-VideoLoadSeries video_hourly_load(const capture::FlowTable& table,
-                                  std::span<const int> dc_col, int preferred,
-                                  cdn::VideoId video) {
-    std::vector<std::uint64_t> all;
-    std::vector<std::uint64_t> np;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (table.video[i] != video) continue;
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0) continue;
-        bump_hour(all, table.start[i]);
-        if (dc != preferred) bump_hour(np, table.start[i]);
-    }
-    np.resize(all.size(), 0);
-    VideoLoadSeries out;
-    out.all = to_series(all, table.name + " video-all");
-    out.non_preferred = to_series(np, table.name + " video-non-preferred");
-    return out;
-}
-
 ServerLoadSeries preferred_dc_server_load(const capture::Dataset& dataset,
                                           const ServerDcMap& map, int preferred) {
-    // requests[hour][server] -> count, for servers inside the preferred DC.
-    std::vector<std::unordered_map<net::IpAddress, std::uint64_t>> hours;
-    for (const auto& r : dataset.records) {
-        if (map.dc_of(r.server_ip) != preferred) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(r.start));
-        if (hour >= hours.size()) hours.resize(hour + 1);
-        ++hours[hour][r.server_ip];
-    }
-
-    ServerLoadSeries out;
-    out.avg.name = dataset.name + " per-server-avg";
-    out.max.name = dataset.name + " per-server-max";
-    for (std::size_t h = 0; h < hours.size(); ++h) {
-        if (hours[h].empty()) continue;
-        MinMeanMax m;
-        for (const auto& [ip, count] : hours[h]) m.add(static_cast<double>(count));
-        out.avg.points.emplace_back(static_cast<double>(h), m.mean());
-        out.max.points.emplace_back(static_cast<double>(h), m.max);
-    }
-    return out;
+    return fold_dataset(dataset, dc_column(dataset, map),
+                        IncrementalServerLoad(preferred, dataset.name))
+        .series();
 }
 
-ServerLoadSeries preferred_dc_server_load(const capture::FlowTable& table,
-                                          std::span<const int> dc, int preferred) {
-    // requests[hour][server] -> count, for servers inside the preferred DC.
-    std::vector<std::unordered_map<net::IpAddress, std::uint64_t>> hours;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (dc[i] != preferred) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(table.start[i]));
-        if (hour >= hours.size()) hours.resize(hour + 1);
-        ++hours[hour][table.server_ip[i]];
-    }
-
-    ServerLoadSeries out;
-    out.avg.name = table.name + " per-server-avg";
-    out.max.name = table.name + " per-server-max";
-    for (std::size_t h = 0; h < hours.size(); ++h) {
-        if (hours[h].empty()) continue;
-        MinMeanMax m;
-        for (const auto& [ip, count] : hours[h]) m.add(static_cast<double>(count));
-        out.avg.points.emplace_back(static_cast<double>(h), m.mean());
-        out.max.points.emplace_back(static_cast<double>(h), m.max);
-    }
-    return out;
-}
-
-HotServerSessions hot_server_sessions(const capture::FlowTable& table,
+HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
                                       const SessionTable& sessions,
                                       std::span<const int> dc, int preferred,
                                       cdn::VideoId video) {
-    // The "server handling the video": the preferred-DC server with the most
-    // requests for it.
+    const auto& records = dataset.records;
     std::unordered_map<net::IpAddress, std::uint64_t> counts;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (table.video[i] != video || dc[i] != preferred) continue;
-        ++counts[table.server_ip[i]];
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (records[i].video != video || dc[i] != preferred) continue;
+        ++counts[records[i].server_ip];
     }
     HotServerSessions out;
-    if (counts.empty()) return out;
-    out.server = std::max_element(counts.begin(), counts.end(),
-                                  [](const auto& a, const auto& b) {
-                                      return a.second < b.second;
-                                  })
-                     ->first;
+    std::uint64_t most = 0;
+    for (const auto& [ip, count] : counts) {
+        if (count > most || (count == most && ip < out.server)) {
+            out.server = ip;
+            most = count;
+        }
+    }
+    if (most == 0) return out;
 
     std::vector<std::uint64_t> all_pref, first_pref, others;
     for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
         const auto flows = sessions.flows_of(s);
         // Sessions that *arrive* at this server: their first flow hits it.
-        if (table.server_ip[flows.front()] != out.server) continue;
+        if (records[flows.front()].server_ip != out.server) continue;
         bool every_pref = true;
         for (const std::uint32_t row : flows) {
             if (dc[row] != preferred) {
@@ -218,56 +114,6 @@ HotServerSessions hot_server_sessions(const capture::FlowTable& table,
         if (every_pref) {
             bump_hour(all_pref, t);
         } else if (dc[flows.front()] == preferred) {
-            bump_hour(first_pref, t);
-        } else {
-            bump_hour(others, t);
-        }
-    }
-    const std::size_t n = std::max({all_pref.size(), first_pref.size(), others.size()});
-    all_pref.resize(n, 0);
-    first_pref.resize(n, 0);
-    others.resize(n, 0);
-    out.all_preferred = to_series(all_pref, table.name + " all-preferred");
-    out.first_preferred_then_other =
-        to_series(first_pref, table.name + " first-preferred-then-other");
-    out.others = to_series(others, table.name + " others");
-    return out;
-}
-
-HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
-                                      const std::vector<VideoSession>& sessions,
-                                      const ServerDcMap& map, int preferred,
-                                      cdn::VideoId video) {
-    // The "server handling the video": the preferred-DC server with the most
-    // requests for it.
-    std::unordered_map<net::IpAddress, std::uint64_t> counts;
-    for (const auto& r : dataset.records) {
-        if (r.video != video || map.dc_of(r.server_ip) != preferred) continue;
-        ++counts[r.server_ip];
-    }
-    HotServerSessions out;
-    if (counts.empty()) return out;
-    out.server = std::max_element(counts.begin(), counts.end(),
-                                  [](const auto& a, const auto& b) {
-                                      return a.second < b.second;
-                                  })
-                     ->first;
-
-    std::vector<std::uint64_t> all_pref, first_pref, others;
-    for (const auto& s : sessions) {
-        // Sessions that *arrive* at this server: their first flow hits it.
-        if (s.flows.front()->server_ip != out.server) continue;
-        bool every_pref = true;
-        for (const auto* f : s.flows) {
-            if (map.dc_of(f->server_ip) != preferred) {
-                every_pref = false;
-                break;
-            }
-        }
-        const sim::SimTime t = s.start();
-        if (every_pref) {
-            bump_hour(all_pref, t);
-        } else if (map.dc_of(s.flows.front()->server_ip) == preferred) {
             bump_hour(first_pref, t);
         } else {
             bump_hour(others, t);

@@ -5,11 +5,9 @@
 
 #include "analysis/dc_map.hpp"
 #include "analysis/series.hpp"
-#include "analysis/session.hpp"
 #include "analysis/session_table.hpp"
 #include "analysis/stats.hpp"
 #include "capture/dataset.hpp"
-#include "capture/flow_table.hpp"
 
 namespace ytcdn::analysis {
 
@@ -35,6 +33,11 @@ struct VideoLoadSeries {
 [[nodiscard]] VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
                                                 const ServerDcMap& map, int preferred,
                                                 cdn::VideoId video);
+/// Same, with the dataset's dc_column (see analysis/streaming.hpp) in place
+/// of the map.
+[[nodiscard]] VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
+                                                std::span<const int> dc, int preferred,
+                                                cdn::VideoId video);
 
 /// Fig. 15: per-hour average and maximum number of video requests handled
 /// by a single server of the preferred data center.
@@ -48,32 +51,17 @@ struct ServerLoadSeries {
 
 /// Fig. 16: the load, in sessions per hour, on the server of the preferred
 /// data center that handles `video`, broken down by whether the session's
-/// flows stayed at the preferred data center.
+/// flows stayed at the preferred data center. `sessions` groups `dataset`
+/// and `dc` is its dc_column. The server handling the video is the
+/// preferred-DC server with the most requests for it; equal counts go to
+/// the lowest IP address.
 struct HotServerSessions {
     net::IpAddress server;              // the server handling the video
     Series all_preferred;               // every flow to the preferred DC
     Series first_preferred_then_other;  // DNS was right, redirection happened
     Series others;                      // remaining patterns
 };
-[[nodiscard]] HotServerSessions hot_server_sessions(
-    const capture::Dataset& dataset, const std::vector<VideoSession>& sessions,
-    const ServerDcMap& map, int preferred, cdn::VideoId video);
-
-/// Column-scan equivalents over the SoA mirror; `dc` is the table's
-/// dc_column (see analysis/session_table.hpp). Bit-identical results.
-[[nodiscard]] EmpiricalCdf video_non_preferred_counts(const capture::FlowTable& table,
-                                                      std::span<const int> dc,
-                                                      int preferred);
-[[nodiscard]] std::vector<cdn::VideoId> top_redirected_videos(
-    const capture::FlowTable& table, std::span<const int> dc, int preferred,
-    std::size_t k);
-[[nodiscard]] VideoLoadSeries video_hourly_load(const capture::FlowTable& table,
-                                                std::span<const int> dc, int preferred,
-                                                cdn::VideoId video);
-[[nodiscard]] ServerLoadSeries preferred_dc_server_load(const capture::FlowTable& table,
-                                                        std::span<const int> dc,
-                                                        int preferred);
-[[nodiscard]] HotServerSessions hot_server_sessions(const capture::FlowTable& table,
+[[nodiscard]] HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
                                                     const SessionTable& sessions,
                                                     std::span<const int> dc,
                                                     int preferred, cdn::VideoId video);

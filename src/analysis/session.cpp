@@ -63,10 +63,7 @@ std::vector<VideoSession> build_sessions(const capture::Dataset& dataset,
     return sessions;
 }
 
-namespace {
-
-template <typename NextFlow>
-std::vector<ResolutionShare> resolution_breakdown_impl(std::size_t n, NextFlow next) {
+std::vector<ResolutionShare> resolution_breakdown(const capture::Dataset& dataset) {
     std::vector<ResolutionShare> out;
     out.reserve(std::size(cdn::kAllResolutions));
     for (const auto r : cdn::kAllResolutions) {
@@ -74,36 +71,19 @@ std::vector<ResolutionShare> resolution_breakdown_impl(std::size_t n, NextFlow n
     }
     std::uint64_t flows = 0;
     std::uint64_t bytes = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto [b, res] = next(i);
-        if (classify_flow_size(b) != FlowKind::Video) continue;
-        auto& share = out[static_cast<std::size_t>(res)];
+    for (const auto& rec : dataset.records) {
+        if (classify_flow_size(rec.bytes) != FlowKind::Video) continue;
+        auto& share = out[static_cast<std::size_t>(rec.resolution)];
         share.flow_share += 1.0;
-        share.byte_share += static_cast<double>(b);
+        share.byte_share += static_cast<double>(rec.bytes);
         ++flows;
-        bytes += b;
+        bytes += rec.bytes;
     }
     for (auto& share : out) {
         if (flows > 0) share.flow_share /= static_cast<double>(flows);
         if (bytes > 0) share.byte_share /= static_cast<double>(bytes);
     }
     return out;
-}
-
-}  // namespace
-
-std::vector<ResolutionShare> resolution_breakdown(const capture::Dataset& dataset) {
-    return resolution_breakdown_impl(
-        dataset.records.size(), [&dataset](std::size_t i) {
-            const auto& rec = dataset.records[i];
-            return std::pair{rec.bytes, rec.resolution};
-        });
-}
-
-std::vector<ResolutionShare> resolution_breakdown(const capture::FlowTable& table) {
-    return resolution_breakdown_impl(table.size(), [&table](std::size_t i) {
-        return std::pair{table.bytes[i], table.resolution[i]};
-    });
 }
 
 }  // namespace ytcdn::analysis

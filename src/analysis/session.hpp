@@ -5,7 +5,6 @@
 
 #include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
-#include "capture/flow_table.hpp"
 
 namespace ytcdn::analysis {
 
@@ -35,7 +34,9 @@ struct VideoSession {
 
 /// Groups a dataset's records into sessions with gap threshold `gap_T_s`
 /// (the paper settles on T = 1 s after the Fig. 5 sensitivity study).
-/// The dataset does not need to be pre-sorted.
+/// The dataset does not need to be pre-sorted. This is the reference
+/// grouping: the analyses run on SessionTable (analysis/session_table.hpp)
+/// and ytcdnd on IncrementalSessions, and tests check both against it.
 [[nodiscard]] std::vector<VideoSession> build_sessions(const capture::Dataset& dataset,
                                                        double gap_T_s = 1.0);
 
@@ -51,10 +52,5 @@ struct ResolutionShare {
 /// ascending resolution. Entries with zero flows are included.
 [[nodiscard]] std::vector<ResolutionShare> resolution_breakdown(
     const capture::Dataset& dataset);
-
-/// Column-scan equivalent over the dataset's SoA mirror (bytes + resolution
-/// columns only).
-[[nodiscard]] std::vector<ResolutionShare> resolution_breakdown(
-    const capture::FlowTable& table);
 
 }  // namespace ytcdn::analysis

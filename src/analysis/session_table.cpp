@@ -1,34 +1,40 @@
 #include "analysis/session_table.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace ytcdn::analysis {
 
-SessionTable SessionTable::build(const capture::FlowTable& table, double gap_T_s) {
-    const std::size_t n = table.size();
-    std::vector<std::uint32_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-    // One global sort replaces build_sessions' hash-group-then-sort: rows of
-    // the same (client, video) key become contiguous, ordered by (start,
-    // end) within the key exactly as the AoS grouping orders its flows. The
-    // row-index tiebreak makes the permutation deterministic.
-    std::sort(order.begin(), order.end(),
-              [&table](std::uint32_t a, std::uint32_t b) {
-                  if (table.client_ip[a] != table.client_ip[b]) {
-                      return table.client_ip[a] < table.client_ip[b];
-                  }
-                  if (table.video[a] != table.video[b]) {
-                      return table.video[a] < table.video[b];
-                  }
-                  if (table.start[a] != table.start[b]) {
-                      return table.start[a] < table.start[b];
-                  }
-                  if (table.end[a] != table.end[b]) return table.end[a] < table.end[b];
-                  return a < b;
-              });
+SessionTable SessionTable::build(const capture::Dataset& dataset, double gap_T_s) {
+    // One global sort replaces build_sessions' hash-group-then-sort: records
+    // of the same (client, video) key become contiguous, ordered by (start,
+    // end) within the key exactly as build_sessions orders its flows. The
+    // record-index tiebreak makes the permutation deterministic. Sorting
+    // compact keys rather than indices keeps each comparison on one
+    // contiguous key instead of two record lookups.
+    struct Key {
+        net::IpAddress client;
+        std::uint32_t row;
+        cdn::VideoId video;
+        sim::SimTime start;
+        sim::SimTime end;
+    };
+    const std::size_t n = dataset.records.size();
+    std::vector<Key> keys;
+    keys.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto& r = dataset.records[i];
+        keys.push_back(
+            {r.client_ip, static_cast<std::uint32_t>(i), r.video, r.start, r.end});
+    }
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+        if (a.client != b.client) return a.client < b.client;
+        if (a.video != b.video) return a.video < b.video;
+        if (a.start != b.start) return a.start < b.start;
+        if (a.end != b.end) return a.end < b.end;
+        return a.row < b.row;
+    });
 
-    // Sessions are contiguous slices [lo, hi) of `order`; collect the slice
+    // Sessions are contiguous slices [lo, hi) of `keys`; collect the slice
     // bounds, then order sessions by (start, client, video) like
     // build_sessions does.
     struct Slice {
@@ -40,29 +46,29 @@ SessionTable SessionTable::build(const capture::FlowTable& table, double gap_T_s
     std::vector<Slice> slices;
     std::size_t i = 0;
     while (i < n) {
-        const net::IpAddress client = table.client_ip[order[i]];
-        const cdn::VideoId video = table.video[order[i]];
+        const net::IpAddress client = keys[i].client;
+        const cdn::VideoId video = keys[i].video;
         std::size_t key_end = i + 1;
-        while (key_end < n && table.client_ip[order[key_end]] == client &&
-               table.video[order[key_end]] == video) {
+        while (key_end < n && keys[key_end].client == client &&
+               keys[key_end].video == video) {
             ++key_end;
         }
         // Split the key's run at gaps, tracking the furthest end seen so
         // far (flows can nest — see build_sessions).
         std::size_t lo = i;
-        double horizon = table.end[order[i]];
+        double horizon = keys[i].end;
         for (std::size_t j = i + 1; j < key_end; ++j) {
-            if (table.start[order[j]] - horizon > gap_T_s) {
-                slices.push_back({table.start[order[lo]], client, video,
+            if (keys[j].start - horizon > gap_T_s) {
+                slices.push_back({keys[lo].start, client, video,
                                   static_cast<std::uint32_t>(lo),
                                   static_cast<std::uint32_t>(j)});
                 lo = j;
-                horizon = table.end[order[j]];
+                horizon = keys[j].end;
             } else {
-                horizon = std::max(horizon, table.end[order[j]]);
+                horizon = std::max(horizon, keys[j].end);
             }
         }
-        slices.push_back({table.start[order[lo]], client, video,
+        slices.push_back({keys[lo].start, client, video,
                           static_cast<std::uint32_t>(lo),
                           static_cast<std::uint32_t>(key_end)});
         i = key_end;
@@ -82,141 +88,13 @@ SessionTable SessionTable::build(const capture::FlowTable& table, double gap_T_s
     t.start.reserve(slices.size());
     t.offsets.push_back(0);
     for (const auto& s : slices) {
-        for (std::uint32_t j = s.lo; j < s.hi; ++j) t.flow_rows.push_back(order[j]);
+        for (std::uint32_t j = s.lo; j < s.hi; ++j) t.flow_rows.push_back(keys[j].row);
         t.offsets.push_back(static_cast<std::uint32_t>(t.flow_rows.size()));
         t.client.push_back(s.client);
         t.video.push_back(s.video);
         t.start.push_back(s.start);
     }
     return t;
-}
-
-std::vector<int> dc_column(const capture::FlowTable& table, const ServerDcMap& map) {
-    std::vector<int> dc;
-    dc.reserve(table.size());
-    for (const net::IpAddress ip : table.server_ip) dc.push_back(map.dc_of(ip));
-    return dc;
-}
-
-std::vector<double> flows_per_session_cdf(const SessionTable& sessions,
-                                          int max_bucket) {
-    if (max_bucket < 1) throw std::invalid_argument("flows_per_session_cdf: max_bucket");
-    std::vector<double> counts(static_cast<std::size_t>(max_bucket) + 1, 0.0);
-    const std::size_t total = sessions.num_sessions();
-    for (std::size_t s = 0; s < total; ++s) {
-        const std::size_t n = sessions.flows_of(s).size();
-        const std::size_t bucket =
-            std::min<std::size_t>(n, static_cast<std::size_t>(max_bucket) + 1) - 1;
-        counts[bucket] += 1.0;
-    }
-    std::vector<double> cdf(counts.size());
-    double acc = 0.0;
-    const double denom = total == 0 ? 1.0 : static_cast<double>(total);
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        acc += counts[i];
-        cdf[i] = acc / denom;
-    }
-    return cdf;
-}
-
-namespace {
-
-/// True when every flow of the session is mapped (analysis scope); the
-/// pattern breakdowns skip out-of-scope sessions, like resolve_session_dcs.
-bool in_scope(const SessionTable& sessions, std::span<const int> dc, std::size_t s) {
-    for (const std::uint32_t row : sessions.flows_of(s)) {
-        if (dc[row] < 0) return false;
-    }
-    return true;
-}
-
-}  // namespace
-
-SessionPatternShares session_patterns(const SessionTable& sessions,
-                                      std::span<const int> dc, int preferred) {
-    SessionPatternShares out;
-    std::size_t scoped = 0;
-    std::size_t single = 0, single_p = 0, single_np = 0;
-    std::size_t two = 0, pp = 0, pn = 0, np = 0, nn = 0;
-    std::size_t more = 0;
-
-    for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
-        if (!in_scope(sessions, dc, s)) continue;
-        ++scoped;
-        const auto flows = sessions.flows_of(s);
-        if (flows.size() == 1) {
-            ++single;
-            if (dc[flows[0]] == preferred) {
-                ++single_p;
-            } else {
-                ++single_np;
-            }
-        } else if (flows.size() == 2) {
-            ++two;
-            const bool a = dc[flows[0]] == preferred;
-            const bool b = dc[flows[1]] == preferred;
-            if (a && b) ++pp;
-            else if (a && !b) ++pn;
-            else if (!a && b) ++np;
-            else ++nn;
-        } else {
-            ++more;
-        }
-    }
-
-    out.total_sessions = scoped;
-    if (scoped == 0) return out;
-    const auto share = [t = static_cast<double>(scoped)](std::size_t c) {
-        return static_cast<double>(c) / t;
-    };
-    out.single_flow = share(single);
-    out.single_preferred = share(single_p);
-    out.single_non_preferred = share(single_np);
-    out.two_flow = share(two);
-    out.two_pref_pref = share(pp);
-    out.two_pref_nonpref = share(pn);
-    out.two_nonpref_pref = share(np);
-    out.two_nonpref_nonpref = share(nn);
-    out.more_flows = share(more);
-    return out;
-}
-
-MultiFlowPatternShares multi_flow_patterns(const SessionTable& sessions,
-                                           std::span<const int> dc, int preferred) {
-    MultiFlowPatternShares out;
-    std::size_t scoped_total = 0;
-    std::size_t all_pref = 0, first_pref = 0, first_np = 0;
-    for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
-        if (!in_scope(sessions, dc, s)) continue;
-        ++scoped_total;
-        const auto flows = sessions.flows_of(s);
-        if (flows.size() < 3) continue;
-        ++out.sessions;
-
-        const bool starts_pref = dc[flows.front()] == preferred;
-        bool every_pref = starts_pref;
-        for (const std::uint32_t row : flows) {
-            if (dc[row] != preferred) {
-                every_pref = false;
-                break;
-            }
-        }
-        if (every_pref) {
-            ++all_pref;
-        } else if (starts_pref) {
-            ++first_pref;
-        } else {
-            ++first_np;
-        }
-    }
-    if (out.sessions == 0) return out;
-    const double n = static_cast<double>(out.sessions);
-    out.share_of_all_sessions =
-        scoped_total == 0 ? 0.0 : n / static_cast<double>(scoped_total);
-    out.all_preferred = static_cast<double>(all_pref) / n;
-    out.first_preferred_then_other = static_cast<double>(first_pref) / n;
-    out.first_non_preferred = static_cast<double>(first_np) / n;
-    return out;
 }
 
 }  // namespace ytcdn::analysis

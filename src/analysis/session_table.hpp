@@ -4,26 +4,22 @@
 #include <span>
 #include <vector>
 
-#include "analysis/dc_map.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
-#include "capture/flow_table.hpp"
+#include "capture/dataset.hpp"
 
 namespace ytcdn::analysis {
 
-/// Compressed-sparse-row view of a dataset's video sessions over a
-/// FlowTable: session s owns the flow rows
-/// flow_rows[offsets[s] .. offsets[s+1]), in start-time order.
+/// Compressed-sparse-row view of a dataset's video sessions: session s owns
+/// the records dataset.records[flow_rows[offsets[s] .. offsets[s+1])], in
+/// start-time order.
 ///
 /// Semantics match build_sessions exactly — same grouping key (client IP,
 /// VideoID), same gap threshold, same (start, client, video) session order —
-/// so the pattern analyses below are bit-compatible with the
-/// VideoSession-based ones, without the per-session pointer vectors (one
-/// index array and one offset array replace ~a million small allocations at
-/// paper scale).
+/// without the per-session pointer vectors (one index array and one offset
+/// array replace ~a million small allocations at paper scale). The session
+/// analyses (analysis/session_analysis.hpp) and Fig. 16 read this table.
 struct SessionTable {
     std::vector<std::uint32_t> offsets;    // num_sessions() + 1 entries
-    std::vector<std::uint32_t> flow_rows;  // row indices into the FlowTable
+    std::vector<std::uint32_t> flow_rows;  // indices into dataset.records
     std::vector<net::IpAddress> client;    // per session
     std::vector<cdn::VideoId> video;       // per session
     std::vector<sim::SimTime> start;       // per session (first flow's start)
@@ -35,28 +31,11 @@ struct SessionTable {
         return {flow_rows.data() + offsets[s], flow_rows.data() + offsets[s + 1]};
     }
 
-    /// Groups the table's rows into sessions with gap threshold `gap_T_s`
-    /// (the paper's T = 1 s by default). The table need not be pre-sorted.
-    [[nodiscard]] static SessionTable build(const capture::FlowTable& table,
+    /// Groups the dataset's records into sessions with gap threshold
+    /// `gap_T_s` (the paper's T = 1 s by default). The records need not be
+    /// pre-sorted.
+    [[nodiscard]] static SessionTable build(const capture::Dataset& dataset,
                                             double gap_T_s = 1.0);
 };
-
-/// Resolves every row's server to its data center once: element i is
-/// map.dc_of(table.server_ip[i]) (-1 when unmapped). The analyses take this
-/// column instead of the map, so the hash lookup is paid once per flow per
-/// run instead of once per flow per artifact.
-[[nodiscard]] std::vector<int> dc_column(const capture::FlowTable& table,
-                                         const ServerDcMap& map);
-
-/// Column-scan equivalents of the session_analysis.hpp functions; `dc` is
-/// the table's dc_column.
-[[nodiscard]] std::vector<double> flows_per_session_cdf(const SessionTable& sessions,
-                                                        int max_bucket = 9);
-[[nodiscard]] SessionPatternShares session_patterns(const SessionTable& sessions,
-                                                    std::span<const int> dc,
-                                                    int preferred);
-[[nodiscard]] MultiFlowPatternShares multi_flow_patterns(const SessionTable& sessions,
-                                                         std::span<const int> dc,
-                                                         int preferred);
 
 }  // namespace ytcdn::analysis

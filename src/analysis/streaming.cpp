@@ -7,6 +7,13 @@
 
 namespace ytcdn::analysis {
 
+std::vector<int> dc_column(const capture::Dataset& dataset, const ServerDcMap& map) {
+    std::vector<int> dc;
+    dc.reserve(dataset.records.size());
+    for (const auto& r : dataset.records) dc.push_back(map.dc_of(r.server_ip));
+    return dc;
+}
+
 // --- IncrementalDcTraffic ----------------------------------------------------
 
 void IncrementalDcTraffic::add(const capture::FlowRecord& record, int dc) {
@@ -177,7 +184,7 @@ void IncrementalSubnetBreakdown::add(const capture::FlowRecord& record, int dc) 
             ++np_[i];
             ++total_np_;
         }
-        break;  // first matching subnet wins, like the batch tally
+        break;  // first matching subnet wins
     }
 }
 

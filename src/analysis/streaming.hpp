@@ -11,27 +11,51 @@
 #include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/subnet_analysis.hpp"
+#include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
 
 namespace ytcdn::analysis {
 
-/// Out-of-core §VII analysis: incremental counterparts of the batch
-/// modules, consuming one flow record at a time so a 10-100M-session run
-/// fits bounded memory (DESIGN.md §16). Each add() takes the pre-resolved
-/// data-center index for the flow's server (`map.dc_of(server_ip)`),
-/// decoupling the accumulators from the map so the caller resolves once
-/// per record.
+/// The §VII per-flow folds: the one implementation of the per-DC traffic
+/// split, the hourly load (Figs 9 and 11), the per-video redirect counts
+/// (Figs 13 and 14), the subnet breakdown (Fig. 12) and the per-server load
+/// (Fig. 15). Each add() takes one flow record and its pre-resolved
+/// data-center index (`map.dc_of(server_ip)`, -1 when unmapped), so the
+/// caller resolves the map once per record.
 ///
-/// Equivalence contract: feeding a module the records of a time-sorted
-/// dataset in order produces *byte-identical* results to its whole-vector
-/// counterpart — tests/test_streaming_analysis.cpp pins every module
-/// against its batch twin and proves chunk-boundary invariance. All
-/// tallies here are order-independent integers except
-/// IncrementalServerLoad, which replicates the batch module's exact
-/// insertion sequence (see its note).
+/// Two execution modes drive the same folds: the batch analyses and the
+/// report feed an in-memory dataset through fold_dataset(), and
+/// run_scale_study feeds records as they stream back from a YFL2 spill, so
+/// a 10-100M-session run fits bounded memory (DESIGN.md §16).
+///
+/// Feed-order contract: every result is independent of the order records
+/// are added in. The tallies are integers; the CDFs sort their samples;
+/// the rankings are total orders; and IncrementalServerLoad's hourly mean
+/// sums integer-valued doubles, which is exact in any order, while min and
+/// max do not depend on order. tests/test_streaming_analysis.cpp checks a
+/// shuffled feed against the in-order one for all five folds.
 
-/// Streams the per-DC byte/flow tallies behind preferred_dc() and
-/// non_preferred_share(). Order-independent.
+/// Resolves every record's server to its data center once: element i is
+/// map.dc_of(dataset.records[i].server_ip), -1 when unmapped. The folds and
+/// the session analyses read this column instead of the map, so the hash
+/// lookup is paid once per flow per run instead of once per flow per
+/// artifact.
+[[nodiscard]] std::vector<int> dc_column(const capture::Dataset& dataset,
+                                         const ServerDcMap& map);
+
+/// The batch path: adds every record of `dataset`, with its data center
+/// dc[i], to `fold` and returns the fold.
+template <typename Fold>
+[[nodiscard]] Fold fold_dataset(const capture::Dataset& dataset,
+                                std::span<const int> dc, Fold fold) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        fold.add(dataset.records[i], dc[i]);
+    }
+    return fold;
+}
+
+/// The per-DC byte/flow tallies behind preferred_dc() and
+/// non_preferred_share().
 class IncrementalDcTraffic {
 public:
     void add(const capture::FlowRecord& record, int dc);
@@ -46,12 +70,10 @@ public:
 
 private:
     std::unordered_map<int, DcTraffic> tally_;
-    std::uint64_t bytes_all_ = 0;
-    std::uint64_t flows_all_ = 0;
 };
 
-/// Streams the per-hour (all, preferred) video-flow tallies behind Figs 9
-/// and 11 and the §VII-A load correlation. Order-independent.
+/// The per-hour (all, preferred) video-flow tallies behind Figs 9 and 11
+/// and the §VII-A load correlation.
 class IncrementalHourlyLoad {
 public:
     IncrementalHourlyLoad(int preferred, std::string name)
@@ -70,8 +92,7 @@ private:
     std::vector<std::uint64_t> pref_;
 };
 
-/// Streams the per-video non-preferred download counts behind Figs 13/14.
-/// Order-independent (the CDF sorts, the ranking is a total order).
+/// The per-video non-preferred download counts behind Figs 13 and 14.
 class IncrementalVideoRedirects {
 public:
     explicit IncrementalVideoRedirects(int preferred) : preferred_(preferred) {}
@@ -91,7 +112,8 @@ private:
     std::unordered_map<cdn::VideoId, std::uint64_t> counts_;
 };
 
-/// Streams Fig. 12's per-subnet breakdown. Order-independent.
+/// Fig. 12's per-subnet breakdown. A flow counts toward the first subnet
+/// that contains its client; clients outside every subnet are ignored.
 class IncrementalSubnetBreakdown {
 public:
     IncrementalSubnetBreakdown(int preferred, std::vector<NamedSubnet> subnets);
@@ -109,13 +131,10 @@ private:
     std::uint64_t total_np_ = 0;
 };
 
-/// Streams Fig. 15's per-hour per-server request tallies for the preferred
-/// data center. The hourly mean accumulates doubles over unordered-map
-/// iteration, so byte-identity with the batch module requires the *same
-/// insertion sequence* per hour map — which holds exactly when records
-/// arrive in the dataset's time-sorted order (the FlowSink ordering
-/// contract; exact start-time ties across distinct servers would be the
-/// only exception and have measure zero under the continuous workload).
+/// Fig. 15's per-hour per-server request tallies for the preferred data
+/// center. The hourly mean iterates an unordered map, but it sums
+/// integer-valued doubles far below 2^53, so the sum is exact whatever the
+/// iteration order.
 class IncrementalServerLoad {
 public:
     IncrementalServerLoad(int preferred, std::string name)

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/dc_map.hpp"
 #include "capture/dataset.hpp"
-#include "capture/flow_table.hpp"
 #include "net/subnet.hpp"
 
 namespace ytcdn::analysis {
@@ -30,12 +28,6 @@ struct SubnetShare {
 /// subnet are ignored; flows to unmapped (legacy) servers are ignored.
 [[nodiscard]] std::vector<SubnetShare> subnet_breakdown(
     const capture::Dataset& dataset, const ServerDcMap& map, int preferred,
-    const std::vector<NamedSubnet>& subnets);
-
-/// Column-scan equivalent over the SoA mirror; `dc` is the table's
-/// dc_column (see analysis/session_table.hpp). Bit-identical results.
-[[nodiscard]] std::vector<SubnetShare> subnet_breakdown(
-    const capture::FlowTable& table, std::span<const int> dc, int preferred,
     const std::vector<NamedSubnet>& subnets);
 
 }  // namespace ytcdn::analysis

@@ -9,9 +9,11 @@
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/series.hpp"
+#include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/session_table.hpp"
 #include "analysis/stats.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "cdn/video.hpp"
 #include "geo/city.hpp"
@@ -137,6 +139,13 @@ std::string FullReport::render() const {
 
 namespace {
 
+/// Vantage point i's records, with its dc column, fed through `fold`.
+template <typename Fold>
+Fold fold_vp(const StudyRun& run, std::size_t i, Fold fold) {
+    return analysis::fold_dataset(run.traces.datasets[i], run.dc_columns[i],
+                                  std::move(fold));
+}
+
 std::string render_series(const std::vector<analysis::Series>& series) {
     std::ostringstream os;
     analysis::write_series(os, series);
@@ -202,8 +211,11 @@ std::string render_fig12(const StudyRun& run) {
         std::vector<analysis::NamedSubnet> subnets;
         subnets.reserve(vp.subnets.size());
         for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
-        const auto shares = analysis::subnet_breakdown(
-            run.tables[i], run.dc_columns[i], run.preferred[i], subnets);
+        const auto shares =
+            fold_vp(run, i,
+                    analysis::IncrementalSubnetBreakdown(run.preferred[i],
+                                                         std::move(subnets)))
+                .shares();
         for (const auto& share : shares) {
             t.add_row({run.traces.datasets[i].name, share.name,
                        analysis::fmt_pct(share.all_flows_share, 2),
@@ -216,7 +228,7 @@ std::string render_fig12(const StudyRun& run) {
 std::string render_resolutions(const StudyRun& run) {
     analysis::AsciiTable t({"Dataset", "Resolution", "flow%", "byte%"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        for (const auto& share : analysis::resolution_breakdown(run.tables[i])) {
+        for (const auto& share : analysis::resolution_breakdown(run.traces.datasets[i])) {
             t.add_row({run.traces.datasets[i].name,
                        std::string(cdn::to_string(share.resolution)),
                        analysis::fmt_pct(share.flow_share, 2),
@@ -256,11 +268,10 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     jobs.emplace_back("fig04_flow_sizes.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+            const auto& records = run.traces.datasets[i].records;
             std::vector<double> sizes;
-            sizes.reserve(run.tables[i].bytes.size());
-            for (const std::uint64_t b : run.tables[i].bytes) {
-                sizes.push_back(static_cast<double>(b));
-            }
+            sizes.reserve(records.size());
+            for (const auto& r : records) sizes.push_back(static_cast<double>(r.bytes));
             series.push_back({run.traces.datasets[i].name,
                               analysis::EmpiricalCdf(std::move(sizes)).curve(120)});
         }
@@ -272,7 +283,7 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         const auto us = run.vp_index("US-Campus");
         for (const double gap : {1.0, 5.0, 10.0, 60.0, 300.0}) {
             const auto cdf = analysis::flows_per_session_cdf(
-                analysis::SessionTable::build(run.tables[us], gap));
+                analysis::SessionTable::build(run.traces.datasets[us], gap));
             series.push_back(flows_cdf_series(
                 "T=" + std::to_string(static_cast<int>(gap)) + "s", cdf));
         }
@@ -310,9 +321,11 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto cdf = analysis::hourly_non_preferred_fraction(
-                run.tables[i], run.dc_columns[i], run.preferred[i]);
-            series.push_back({run.traces.datasets[i].name, cdf.curve(60)});
+            const auto& name = run.traces.datasets[i].name;
+            const auto cdf =
+                fold_vp(run, i, analysis::IncrementalHourlyLoad(run.preferred[i], name))
+                    .non_preferred_cdf();
+            series.push_back({name, cdf.curve(60)});
         }
         return render_series(series);
     });
@@ -322,8 +335,10 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
 
     jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run] {
         const auto eu2 = run.vp_index("EU2");
-        auto hourly = analysis::hourly_preferred_series(
-            run.tables[eu2], run.dc_columns[eu2], run.preferred[eu2]);
+        auto hourly = fold_vp(run, eu2,
+                              analysis::IncrementalHourlyLoad(
+                                  run.preferred[eu2], run.traces.datasets[eu2].name))
+                          .preferred_series();
         return render_series({std::move(hourly.fraction_preferred),
                               std::move(hourly.flows_per_hour)});
     });
@@ -334,8 +349,9 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto counts = analysis::video_non_preferred_counts(
-                run.tables[i], run.dc_columns[i], run.preferred[i]);
+            const auto counts =
+                fold_vp(run, i, analysis::IncrementalVideoRedirects(run.preferred[i]))
+                    .counts_cdf();
             if (!counts.empty()) {
                 series.push_back({run.traces.datasets[i].name, counts.curve(60)});
             }
@@ -345,11 +361,13 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
 
     jobs.emplace_back("fig14_hotspot_videos.dat", [&run] {
         const auto adsl = run.vp_index("EU1-ADSL");
-        const auto top = analysis::top_redirected_videos(
-            run.tables[adsl], run.dc_columns[adsl], run.preferred[adsl], 4);
+        const auto top =
+            fold_vp(run, adsl, analysis::IncrementalVideoRedirects(run.preferred[adsl]))
+                .top_videos(4);
         std::vector<analysis::Series> series;
         for (std::size_t v = 0; v < top.size(); ++v) {
-            auto load = analysis::video_hourly_load(run.tables[adsl], run.dc_columns[adsl],
+            auto load = analysis::video_hourly_load(run.traces.datasets[adsl],
+                                                    run.dc_columns[adsl],
                                                     run.preferred[adsl], top[v]);
             load.all.name = "video" + std::to_string(v + 1) + " all";
             load.non_preferred.name =
@@ -362,19 +380,22 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
 
     jobs.emplace_back("fig15_server_load.dat", [&run] {
         const auto adsl = run.vp_index("EU1-ADSL");
-        auto load = analysis::preferred_dc_server_load(
-            run.tables[adsl], run.dc_columns[adsl], run.preferred[adsl]);
+        auto load = fold_vp(run, adsl,
+                            analysis::IncrementalServerLoad(
+                                run.preferred[adsl], run.traces.datasets[adsl].name))
+                        .series();
         return render_series({std::move(load.avg), std::move(load.max)});
     });
 
     jobs.emplace_back("fig16_hot_server_sessions.dat", [&run] {
         const auto adsl = run.vp_index("EU1-ADSL");
-        const auto top = analysis::top_redirected_videos(
-            run.tables[adsl], run.dc_columns[adsl], run.preferred[adsl], 1);
+        const auto top =
+            fold_vp(run, adsl, analysis::IncrementalVideoRedirects(run.preferred[adsl]))
+                .top_videos(1);
         if (top.empty()) return std::string{};
-        auto hot = analysis::hot_server_sessions(run.tables[adsl], run.sessions[adsl],
-                                                 run.dc_columns[adsl],
-                                                 run.preferred[adsl], top.front());
+        auto hot = analysis::hot_server_sessions(
+            run.traces.datasets[adsl], run.sessions[adsl], run.dc_columns[adsl],
+            run.preferred[adsl], top.front());
         return render_series({std::move(hot.all_preferred),
                               std::move(hot.first_preferred_then_other),
                               std::move(hot.others)});

@@ -1,10 +1,10 @@
 #include "study/study_run.hpp"
 
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "analysis/preferred_dc.hpp"
+#include "analysis/streaming.hpp"
 #include "study/dc_map_builder.hpp"
 #include "util/metrics.hpp"
 
@@ -68,26 +68,22 @@ void derive_maps(StudyRun& run, util::ThreadPool& pool) {
     study_metrics().maps_derived.inc(n);
 }
 
-/// Everything the report reads besides the maps: the name index, the SoA
-/// mirrors, the per-flow dc columns and the CSR session tables.
+/// Everything the report reads besides the datasets and maps: the name
+/// index, the per-record dc columns and the CSR session tables.
 void derive_tables(StudyRun& run, util::ThreadPool& pool) {
     const std::size_t n = run.traces.datasets.size();
     for (std::size_t i = 0; i < n; ++i) {
         run.vp_index_by_name.emplace(run.traces.datasets[i].name, i);
     }
-    // SoA mirrors + per-flow dc columns + CSR session tables, one bundle
-    // per vantage point. Independent per-VP tasks; results in input order.
+    // Independent per-VP tasks; results in input order.
     auto bundles = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
-        auto table = capture::FlowTable::from_dataset(run.traces.datasets[i]);
-        auto dc = analysis::dc_column(table, run.maps[i]);
-        auto sessions = analysis::SessionTable::build(table, 1.0);
-        return std::tuple(std::move(table), std::move(dc), std::move(sessions));
+        const auto& dataset = run.traces.datasets[i];
+        return std::pair(analysis::dc_column(dataset, run.maps[i]),
+                         analysis::SessionTable::build(dataset, 1.0));
     });
-    run.tables.reserve(n);
     run.dc_columns.reserve(n);
     run.sessions.reserve(n);
-    for (auto& [table, dc, sessions] : bundles) {
-        run.tables.push_back(std::move(table));
+    for (auto& [dc, sessions] : bundles) {
         run.dc_columns.push_back(std::move(dc));
         run.sessions.push_back(std::move(sessions));
     }

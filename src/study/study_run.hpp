@@ -8,7 +8,6 @@
 
 #include "analysis/dc_map.hpp"
 #include "analysis/session_table.hpp"
-#include "capture/flow_table.hpp"
 #include "study/deployment.hpp"
 #include "study/trace_driver.hpp"
 #include "util/parallel.hpp"
@@ -30,13 +29,12 @@ struct StudyRun {
     /// in inner loops).
     std::unordered_map<std::string, std::size_t> vp_index_by_name;
 
-    /// SoA mirrors of traces.datasets, borrowed (read-only) by the report
-    /// closures; index-aligned with `datasets`.
-    std::vector<capture::FlowTable> tables;
-    /// CSR session tables at the paper's T = 1 s gap, aligned with `tables`
-    /// (fig05's gap-sensitivity sweep rebuilds at other gaps on the fly).
+    /// CSR session tables over traces.datasets at the paper's T = 1 s gap,
+    /// index-aligned with the datasets (fig05's gap-sensitivity sweep
+    /// rebuilds at other gaps on the fly).
     std::vector<analysis::SessionTable> sessions;
-    /// Pre-resolved dc_of(server_ip) per flow row, aligned with `tables`.
+    /// Pre-resolved dc_of(server_ip) per record (analysis::dc_column),
+    /// index-aligned with the datasets.
     std::vector<std::vector<int>> dc_columns;
 
     /// Throws std::out_of_range for an unknown dataset name.
@@ -66,7 +64,7 @@ struct StudyRun {
 
 /// Same, with the maps and preferred data centers already known (a resumed
 /// supervisor run reloads them from its geolocate checkpoint): only the
-/// name index, flow/session tables and dc columns are derived, through the
+/// name index, session tables and dc columns are derived, through the
 /// same code as above.
 [[nodiscard]] StudyRun assemble_study_run(const StudyConfig& config,
                                           TraceOutputs traces,

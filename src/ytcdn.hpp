@@ -11,10 +11,10 @@
 //   config.scale = 0.1;                       // fraction of Table I volume
 //   const auto run = ytcdn::study::run_study(config);
 //
-//   const auto sessions =
-//       ytcdn::analysis::build_sessions(run.dataset("EU1-ADSL"), 1.0);
+//   const auto& adsl = run.dataset("EU1-ADSL");
+//   const auto sessions = ytcdn::analysis::SessionTable::build(adsl, 1.0);
 //   const auto patterns = ytcdn::analysis::session_patterns(
-//       sessions, run.maps[2], run.preferred[2]);
+//       sessions, ytcdn::analysis::dc_column(adsl, run.maps[2]), run.preferred[2]);
 //
 // Subsystem headers can of course be included individually; this header
 // simply pulls in the public API surface.
@@ -78,6 +78,7 @@
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/stats.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "analysis/table.hpp"
 

@@ -1,25 +1,34 @@
 #pragma once
 
 // Golden digests of the simulator's paper-facing outputs: the rendered full
-// report, the per-vantage-point YFL2 flow logs with their counters, and the
-// YTR1 structured trace. Each constant is a 64-bit FNV-1a over the bytes plus
-// their length.
+// report, the per-vantage-point YFL2 flow logs with their counters, the
+// YTR1 structured trace, and the §VI-VII analysis functions' results. Each
+// constant is a 64-bit FNV-1a over the bytes plus their length.
 //
-// They were recorded from the two reference paths the repository used to
-// carry — the single-queue simulation driver (one sim::Simulator for every
-// vantage point) and the AoS record-walk report — immediately before those
-// paths were deleted. The sharded event engine and the column-scan report
-// are checked against them, so the equivalence evidence outlives the code it
-// compared against. A deliberate output change (a new RNG draw order, a new
-// artifact) re-baselines these constants and says so in EXPERIMENTS.md.
+// They were recorded from the reference paths the repository used to carry
+// — the single-queue simulation driver (one sim::Simulator for every
+// vantage point), the AoS record-walk report and analyses, the FlowTable
+// column scans and the VideoSession pattern functions — immediately before
+// those paths were deleted. The sharded event engine, the report and the
+// one remaining implementation of each analysis are checked against them,
+// so the equivalence evidence outlives the code it compared against. A
+// deliberate output change (a new RNG draw order, a new artifact)
+// re-baselines these constants and says so in EXPERIMENTS.md.
 
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/loadbalance_analysis.hpp"
+#include "analysis/preferred_dc.hpp"
+#include "analysis/redirect_analysis.hpp"
+#include "analysis/session.hpp"
+#include "analysis/session_analysis.hpp"
+#include "analysis/subnet_analysis.hpp"
 #include "capture/binary_log.hpp"
 #include "sim/fault_injector.hpp"
 #include "study/config.hpp"
@@ -50,6 +59,104 @@ inline Digest digest_of(std::string_view bytes) {
     }
     return {h, bytes.size()};
 }
+
+/// Exact text forms of §VI-VII analysis results, so a function's output can
+/// be pinned as a Digest. Doubles print as hexfloat: a change in the last
+/// bit moves the digest.
+inline void put(std::ostream& os, double v) { os << v; }
+inline void put(std::ostream& os, int v) { os << v; }
+inline void put(std::ostream& os, const std::vector<double>& v) {
+    os << "doubles " << v.size();
+    for (const double x : v) os << ' ' << x;
+}
+inline void put(std::ostream& os, const analysis::Series& s) {
+    os << "series " << s.name << ' ' << s.points.size();
+    for (const auto& [x, y] : s.points) os << ' ' << x << ',' << y;
+}
+inline void put(std::ostream& os, const analysis::EmpiricalCdf& cdf) {
+    os << "cdf " << cdf.size();
+    for (const auto& [x, f] : cdf.curve(std::numeric_limits<std::size_t>::max())) {
+        os << ' ' << x << ',' << f;
+    }
+}
+inline void put(std::ostream& os, const std::vector<analysis::DcTraffic>& traffic) {
+    os << "traffic";
+    for (const auto& t : traffic) {
+        os << ' ' << t.dc << ':' << t.bytes << ':' << t.video_flows;
+    }
+}
+inline void put(std::ostream& os, const analysis::NonPreferredShare& s) {
+    os << "share " << s.byte_fraction << ' ' << s.flow_fraction;
+}
+inline void put(std::ostream& os, const analysis::HourlyLoadSeries& h) {
+    put(os, h.fraction_preferred);
+    os << '\n';
+    put(os, h.flows_per_hour);
+}
+inline void put(std::ostream& os, const std::vector<cdn::VideoId>& videos) {
+    os << "videos";
+    for (const auto v : videos) os << ' ' << v.value();
+}
+inline void put(std::ostream& os, const analysis::VideoLoadSeries& v) {
+    put(os, v.all);
+    os << '\n';
+    put(os, v.non_preferred);
+}
+inline void put(std::ostream& os, const analysis::ServerLoadSeries& s) {
+    put(os, s.avg);
+    os << '\n';
+    put(os, s.max);
+}
+inline void put(std::ostream& os, const analysis::HotServerSessions& h) {
+    os << "server " << h.server.value() << '\n';
+    put(os, h.all_preferred);
+    os << '\n';
+    put(os, h.first_preferred_then_other);
+    os << '\n';
+    put(os, h.others);
+}
+inline void put(std::ostream& os, const std::vector<analysis::SubnetShare>& shares) {
+    os << "subnets";
+    for (const auto& s : shares) {
+        os << ' ' << s.name << ':' << s.all_flows_share << ':' << s.non_preferred_share;
+    }
+}
+inline void put(std::ostream& os, const std::vector<analysis::ResolutionShare>& shares) {
+    os << "resolutions";
+    for (const auto& s : shares) {
+        os << ' ' << static_cast<int>(s.resolution) << ':' << s.flow_share << ':'
+           << s.byte_share;
+    }
+}
+inline void put(std::ostream& os, const analysis::SessionPatternShares& p) {
+    os << "patterns " << p.total_sessions << ' ' << p.single_flow << ' '
+       << p.single_preferred << ' ' << p.single_non_preferred << ' ' << p.two_flow
+       << ' ' << p.two_pref_pref << ' ' << p.two_pref_nonpref << ' '
+       << p.two_nonpref_pref << ' ' << p.two_nonpref_nonpref << ' ' << p.more_flows;
+}
+inline void put(std::ostream& os, const analysis::MultiFlowPatternShares& m) {
+    os << "multi " << m.sessions << ' ' << m.share_of_all_sessions << ' '
+       << m.all_preferred << ' ' << m.first_preferred_then_other << ' '
+       << m.first_non_preferred;
+}
+
+/// Accumulates results, one per line, into the text a pinned digest covers.
+class ResultLog {
+public:
+    ResultLog() { os_ << std::hexfloat; }
+
+    template <typename T>
+    ResultLog& add(const T& result) {
+        put(os_, result);
+        os_ << '\n';
+        return *this;
+    }
+    [[nodiscard]] std::string text() const { return os_.str(); }
+    [[nodiscard]] Digest digest() const { return digest_of(os_.str()); }
+
+private:
+    std::ostringstream os_;
+};
 
 /// Every dataset as "<name>\n" + its YFL2 serialization — field-exact,
 /// float bits included.
@@ -198,5 +305,37 @@ inline constexpr RunDigests kScale0005[] = {
      {0x884b2d76e6177f48ull, 2774120},
      {0x18f52524bc447237ull, 69557}},
 };
+
+// §VI-VII analysis outputs, each a ResultLog digest recorded from the
+// implementations that existed before every analysis was reduced to one:
+// the AoS record walks, the FlowTable column scans (equal to them) and the
+// VideoSession pattern functions.
+
+/// The StreamingModules world (scale 0.005, seed 0xCDA12011), every vantage
+/// point in order, with its own map and preferred data center:
+/// traffic_by_dc, preferred_dc, non_preferred_share.
+inline constexpr Digest kFoldDcTraffic{0x17817e679186c475ull, 1741};
+/// hourly_non_preferred_fraction, hourly_preferred_series,
+/// load_vs_nonpreferred_correlation.
+inline constexpr Digest kFoldHourlyLoad{0xbf793d770d23c2b2ull, 56457};
+/// video_non_preferred_counts, top_redirected_videos(4), then
+/// video_hourly_load of each of those videos.
+inline constexpr Digest kFoldVideoRedirects{0x0262ea62bc2afd84ull, 126783};
+/// subnet_breakdown over the vantage point's own subnets.
+inline constexpr Digest kFoldSubnetBreakdown{0xb7ed0acd830cf544ull, 694};
+/// preferred_dc_server_load.
+inline constexpr Digest kFoldServerLoad{0x56faf4c62d5a7bd9ull, 29872};
+
+/// test_flow_table's random_world(seed, 600) for seeds 21-23, preferred 0,
+/// video 2, subnets 10.0.0.0/31 and 10.0.0.2/31: traffic_by_dc,
+/// preferred_dc, non_preferred_share, hourly_non_preferred_fraction,
+/// hourly_preferred_series, load_vs_nonpreferred_correlation,
+/// video_non_preferred_counts, top_redirected_videos(4), video_hourly_load,
+/// preferred_dc_server_load, subnet_breakdown, hot_server_sessions,
+/// resolution_breakdown.
+inline constexpr Digest kRandomScanAnalyses{0x8ed167521b3ebc66ull, 14080};
+/// random_world(seed, 500) for seeds 11-15 at T = 1 s: session_patterns,
+/// multi_flow_patterns, flows_per_session_cdf.
+inline constexpr Digest kRandomSessionPatterns{0xf77d023ec0aef6faull, 1364};
 
 }  // namespace ytcdn::golden

@@ -9,6 +9,7 @@
 #include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/session_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "sim/time.hpp"
 
@@ -145,8 +146,8 @@ TEST_F(AnalysisFixture, FlowsPerSessionCdf) {
     add_flow(0, 0.0, 10'000, /*video=*/1);
     add_flow(0, 100.0, 10'000, /*video=*/2);
     add_flow(0, 110.05, 10'000, /*video=*/2);  // same session (gap < 1 after end)
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 2u);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 2u);
     const auto cdf = analysis::flows_per_session_cdf(sessions, 9);
     ASSERT_EQ(cdf.size(), 10u);
     EXPECT_DOUBLE_EQ(cdf[0], 0.5);  // one of two sessions single-flow
@@ -166,9 +167,10 @@ TEST_F(AnalysisFixture, SessionPatternBreakdown) {
     add_flow(0, 300.0, 500, 4);
     add_flow(0, 310.2, 10'000, 4);
 
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 4u);
-    const auto p = analysis::session_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
+    ASSERT_EQ(sessions.num_sessions(), 4u);
+    const auto p = analysis::session_patterns(sessions, dc, milan_);
     EXPECT_EQ(p.total_sessions, 4u);
     EXPECT_DOUBLE_EQ(p.single_flow, 0.5);
     EXPECT_DOUBLE_EQ(p.single_preferred, 0.25);
@@ -190,8 +192,9 @@ TEST_F(AnalysisFixture, SessionPatternsExcludeOutOfScope) {
     legacy.bytes = 10'000;
     ds_.records.push_back(legacy);
 
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    const auto p = analysis::session_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
+    const auto p = analysis::session_patterns(sessions, dc, milan_);
     EXPECT_EQ(p.total_sessions, 1u);  // legacy session dropped
 }
 
@@ -211,9 +214,10 @@ TEST_F(AnalysisFixture, MultiFlowPatterns) {
     // Session 4 (single flow, to keep share_of_all_sessions meaningful).
     add_flow(0, 300.0, 10'000, 4);
 
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 4u);
-    const auto m = analysis::multi_flow_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
+    ASSERT_EQ(sessions.num_sessions(), 4u);
+    const auto m = analysis::multi_flow_patterns(sessions, dc, milan_);
     EXPECT_EQ(m.sessions, 3u);
     EXPECT_DOUBLE_EQ(m.share_of_all_sessions, 0.75);
     EXPECT_NEAR(m.all_preferred, 1.0 / 3.0, 1e-9);
@@ -223,8 +227,9 @@ TEST_F(AnalysisFixture, MultiFlowPatterns) {
 
 TEST_F(AnalysisFixture, MultiFlowPatternsEmpty) {
     add_flow(0, 0.0, 10'000, 1);
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    const auto m = analysis::multi_flow_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
+    const auto m = analysis::multi_flow_patterns(sessions, dc, milan_);
     EXPECT_EQ(m.sessions, 0u);
     EXPECT_DOUBLE_EQ(m.share_of_all_sessions, 0.0);
 }
@@ -319,9 +324,10 @@ TEST_F(AnalysisFixture, HotServerSessionBreakdown) {
     add_flow(0, 0.0, 10'000, 5, 0, 1, 1);
     add_flow(0, 100.0, 500, 5, 0, 2, 1);
     add_flow(1, 100.3, 10'000, 5, 0, 2, 1);
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
     const auto hot =
-        analysis::hot_server_sessions(ds_, sessions, map_, milan_, cdn::VideoId{5});
+        analysis::hot_server_sessions(ds_, sessions, dc, milan_, cdn::VideoId{5});
     EXPECT_EQ(hot.server, server(0, 1));
     double all_pref = 0.0, first_pref = 0.0;
     for (const auto& p : hot.all_preferred.points) all_pref += p.second;

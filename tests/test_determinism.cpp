@@ -124,12 +124,12 @@ TEST(Determinism, RenderedArtifactsAreByteIdentical) {
 }
 
 TEST(Determinism, FlowTableEquivalence) {
-    // The report's SoA column scans (FlowTable + SessionTable + dc columns)
-    // must render the exact bytes the AoS record walks rendered before they
-    // were retired — the layout change is a pure optimization, invisible in
-    // every artifact. The AoS output survives as a recorded digest; the
-    // per-function AoS reference lives on in test_flow_table. Table III is
-    // orthogonal to the flow tables and expensive, so it is excluded here.
+    // The report — §VII folds over the dataset records, SessionTable and dc
+    // columns — must render the exact bytes the AoS record walks and the
+    // FlowTable column scans rendered before they were retired. Their output
+    // survives as a recorded digest; the per-function digests live in
+    // test_flow_table and test_streaming_analysis. Table III does not read
+    // the flow records' analyses and is expensive, so it is excluded here.
     const auto run = study::run_study(small_config());
     study::ReportOptions opts;
     opts.include_table3 = false;
@@ -312,9 +312,9 @@ TEST(Determinism, CheckpointResume) {
         return report;
     };
 
-    // The resumed run rebuilds its flow tables from the checkpointed maps,
-    // so it renders through the same column scans as a cold run; both must
-    // match the recorded report of this configuration.
+    // The resumed run rebuilds its session tables and dc columns from the
+    // checkpointed maps, so it renders through the same folds as a cold run;
+    // both must match the recorded report of this configuration.
     const std::string serial = report_at(1, false);
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(golden::digest_of(serial), golden::kScale0005[0].report);

@@ -1,23 +1,27 @@
-// The SoA FlowTable / CSR SessionTable layer must be an exact functional
-// mirror of the AoS record walks: same sessions, same shares, same series.
-// These tests compare both paths on synthetic and randomized datasets.
+// The CSR SessionTable must group exactly like the reference build_sessions,
+// and every §VI-VII analysis must reproduce, on randomized datasets, the
+// digests recorded from the implementations it replaced: the AoS record
+// walks, the FlowTable column scans and the VideoSession pattern functions.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "analysis/loadbalance_analysis.hpp"
+#include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/session_table.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
-#include "capture/flow_table.hpp"
+#include "golden_digests.hpp"
 #include "sim/random.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
+namespace golden = ytcdn::golden;
 namespace net = ytcdn::net;
 namespace sim = ytcdn::sim;
 
@@ -82,26 +86,6 @@ std::vector<int> dcs_of_session(const analysis::VideoSession& s,
     return out;
 }
 
-TEST(FlowTable, RoundTripsRows) {
-    capture::Dataset ds;
-    ds.name = "T";
-    ds.records.push_back(flow(1, 2, 1.0, 2.0, 5000, 7));
-    ds.records.push_back(flow(3, 4, 3.0, 9.0, 500, 9));
-    const auto t = capture::FlowTable::from_dataset(ds);
-    ASSERT_EQ(t.size(), 2u);
-    EXPECT_EQ(t.name, "T");
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        const auto r = t.row(i);
-        EXPECT_EQ(r.client_ip, ds.records[i].client_ip);
-        EXPECT_EQ(r.server_ip, ds.records[i].server_ip);
-        EXPECT_DOUBLE_EQ(r.start, ds.records[i].start);
-        EXPECT_DOUBLE_EQ(r.end, ds.records[i].end);
-        EXPECT_EQ(r.bytes, ds.records[i].bytes);
-        EXPECT_EQ(r.video, ds.records[i].video);
-        EXPECT_EQ(r.resolution, ds.records[i].resolution);
-    }
-}
-
 TEST(SessionTable, MatchesBuildSessions) {
     // Nested flows (long video flow outliving a control flow started after
     // it) and a gap split, same (client, video) key throughout.
@@ -115,8 +99,7 @@ TEST(SessionTable, MatchesBuildSessions) {
     ds.sort_by_time();
 
     const auto sessions = analysis::build_sessions(ds, 1.0);
-    const auto table = capture::FlowTable::from_dataset(ds);
-    const auto csr = analysis::SessionTable::build(table, 1.0);
+    const auto csr = analysis::SessionTable::build(ds, 1.0);
 
     ASSERT_EQ(csr.num_sessions(), sessions.size());
     for (std::size_t s = 0; s < sessions.size(); ++s) {
@@ -126,8 +109,7 @@ TEST(SessionTable, MatchesBuildSessions) {
         const auto rows = csr.flows_of(s);
         ASSERT_EQ(rows.size(), sessions[s].flows.size());
         for (std::size_t j = 0; j < rows.size(); ++j) {
-            EXPECT_EQ(table.row(rows[j]).server_ip, sessions[s].flows[j]->server_ip);
-            EXPECT_DOUBLE_EQ(table.start[rows[j]], sessions[s].flows[j]->start);
+            EXPECT_EQ(&ds.records[rows[j]], sessions[s].flows[j]);
         }
     }
 }
@@ -136,11 +118,10 @@ TEST(SessionTable, RandomizedSessionEquivalence) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         const auto w = random_world(seed, 400);
         const auto sessions = analysis::build_sessions(w.dataset, 1.0);
-        const auto table = capture::FlowTable::from_dataset(w.dataset);
-        const auto csr = analysis::SessionTable::build(table, 1.0);
+        const auto csr = analysis::SessionTable::build(w.dataset, 1.0);
 
         ASSERT_EQ(csr.num_sessions(), sessions.size()) << "seed " << seed;
-        const auto dc = analysis::dc_column(table, w.map);
+        const auto dc = analysis::dc_column(w.dataset, w.map);
         for (std::size_t s = 0; s < sessions.size(); ++s) {
             const auto aos_dcs = dcs_of_session(sessions[s], w.map);
             const auto rows = csr.flows_of(s);
@@ -153,109 +134,48 @@ TEST(SessionTable, RandomizedSessionEquivalence) {
 }
 
 TEST(SessionTable, PatternSharesMatchAoS) {
+    // Pinned to the VideoSession pattern functions this table replaced.
+    golden::ResultLog log;
     for (std::uint64_t seed = 11; seed <= 15; ++seed) {
         const auto w = random_world(seed, 500);
-        const auto sessions = analysis::build_sessions(w.dataset, 1.0);
-        const auto table = capture::FlowTable::from_dataset(w.dataset);
-        const auto csr = analysis::SessionTable::build(table, 1.0);
-        const auto dc = analysis::dc_column(table, w.map);
-
-        const auto a = analysis::session_patterns(sessions, w.map, w.preferred);
-        const auto b = analysis::session_patterns(csr, dc, w.preferred);
-        EXPECT_EQ(a.total_sessions, b.total_sessions);
-        EXPECT_DOUBLE_EQ(a.single_flow, b.single_flow);
-        EXPECT_DOUBLE_EQ(a.single_preferred, b.single_preferred);
-        EXPECT_DOUBLE_EQ(a.single_non_preferred, b.single_non_preferred);
-        EXPECT_DOUBLE_EQ(a.two_flow, b.two_flow);
-        EXPECT_DOUBLE_EQ(a.two_pref_pref, b.two_pref_pref);
-        EXPECT_DOUBLE_EQ(a.two_pref_nonpref, b.two_pref_nonpref);
-        EXPECT_DOUBLE_EQ(a.two_nonpref_pref, b.two_nonpref_pref);
-        EXPECT_DOUBLE_EQ(a.two_nonpref_nonpref, b.two_nonpref_nonpref);
-        EXPECT_DOUBLE_EQ(a.more_flows, b.more_flows);
-
-        const auto ma = analysis::multi_flow_patterns(sessions, w.map, w.preferred);
-        const auto mb = analysis::multi_flow_patterns(csr, dc, w.preferred);
-        EXPECT_EQ(ma.sessions, mb.sessions);
-        EXPECT_DOUBLE_EQ(ma.share_of_all_sessions, mb.share_of_all_sessions);
-        EXPECT_DOUBLE_EQ(ma.all_preferred, mb.all_preferred);
-        EXPECT_DOUBLE_EQ(ma.first_preferred_then_other, mb.first_preferred_then_other);
-        EXPECT_DOUBLE_EQ(ma.first_non_preferred, mb.first_non_preferred);
-
-        EXPECT_EQ(analysis::flows_per_session_cdf(sessions),
-                  analysis::flows_per_session_cdf(csr));
+        const auto csr = analysis::SessionTable::build(w.dataset, 1.0);
+        const auto dc = analysis::dc_column(w.dataset, w.map);
+        log.add(analysis::session_patterns(csr, dc, w.preferred))
+            .add(analysis::multi_flow_patterns(csr, dc, w.preferred))
+            .add(analysis::flows_per_session_cdf(csr));
     }
+    EXPECT_EQ(log.digest(), golden::kRandomSessionPatterns);
 }
 
 TEST(FlowTable, ScanAnalysesMatchAoS) {
+    // Pinned to the AoS record walks and the FlowTable column scans, which
+    // agreed with each other on these worlds before both were replaced.
+    golden::ResultLog log;
     for (std::uint64_t seed = 21; seed <= 23; ++seed) {
         const auto w = random_world(seed, 600);
-        const auto table = capture::FlowTable::from_dataset(w.dataset);
-        const auto dc = analysis::dc_column(table, w.map);
-
-        EXPECT_EQ(analysis::hourly_non_preferred_fraction(w.dataset, w.map, w.preferred)
-                      .curve(60),
-                  analysis::hourly_non_preferred_fraction(table, dc, w.preferred)
-                      .curve(60));
-
-        const auto ha = analysis::hourly_preferred_series(w.dataset, w.map, w.preferred);
-        const auto hb = analysis::hourly_preferred_series(table, dc, w.preferred);
-        EXPECT_EQ(ha.fraction_preferred.points, hb.fraction_preferred.points);
-        EXPECT_EQ(ha.flows_per_hour.points, hb.flows_per_hour.points);
-
-        EXPECT_DOUBLE_EQ(
-            analysis::load_vs_nonpreferred_correlation(w.dataset, w.map, w.preferred),
-            analysis::load_vs_nonpreferred_correlation(table, dc, w.preferred));
-
-        EXPECT_EQ(
-            analysis::video_non_preferred_counts(w.dataset, w.map, w.preferred).curve(30),
-            analysis::video_non_preferred_counts(table, dc, w.preferred).curve(30));
-        EXPECT_EQ(analysis::top_redirected_videos(w.dataset, w.map, w.preferred, 4),
-                  analysis::top_redirected_videos(table, dc, w.preferred, 4));
-
+        const auto& ds = w.dataset;
+        const int p = w.preferred;
         const cdn::VideoId video{2};
-        const auto va = analysis::video_hourly_load(w.dataset, w.map, w.preferred, video);
-        const auto vb = analysis::video_hourly_load(table, dc, w.preferred, video);
-        EXPECT_EQ(va.all.points, vb.all.points);
-        EXPECT_EQ(va.non_preferred.points, vb.non_preferred.points);
-
-        const auto la = analysis::preferred_dc_server_load(w.dataset, w.map, w.preferred);
-        const auto lb = analysis::preferred_dc_server_load(table, dc, w.preferred);
-        EXPECT_EQ(la.avg.points, lb.avg.points);
-        EXPECT_EQ(la.max.points, lb.max.points);
-
-        std::vector<analysis::NamedSubnet> subnets;
-        subnets.push_back({"net0", net::Subnet(net::IpAddress::from_octets(10, 0, 0, 0), 31)});
-        subnets.push_back({"net1", net::Subnet(net::IpAddress::from_octets(10, 0, 0, 2), 31)});
-        const auto sa = analysis::subnet_breakdown(w.dataset, w.map, w.preferred, subnets);
-        const auto sb = analysis::subnet_breakdown(table, dc, w.preferred, subnets);
-        ASSERT_EQ(sa.size(), sb.size());
-        for (std::size_t i = 0; i < sa.size(); ++i) {
-            EXPECT_EQ(sa[i].name, sb[i].name);
-            EXPECT_DOUBLE_EQ(sa[i].all_flows_share, sb[i].all_flows_share);
-            EXPECT_DOUBLE_EQ(sa[i].non_preferred_share, sb[i].non_preferred_share);
-        }
-
-        const auto sessions = analysis::build_sessions(w.dataset, 1.0);
-        const auto csr = analysis::SessionTable::build(table, 1.0);
-        const auto hot_a = analysis::hot_server_sessions(
-            w.dataset, sessions, w.map, w.preferred, video);
-        const auto hot_b =
-            analysis::hot_server_sessions(table, csr, dc, w.preferred, video);
-        EXPECT_EQ(hot_a.server, hot_b.server);
-        EXPECT_EQ(hot_a.all_preferred.points, hot_b.all_preferred.points);
-        EXPECT_EQ(hot_a.first_preferred_then_other.points,
-                  hot_b.first_preferred_then_other.points);
-        EXPECT_EQ(hot_a.others.points, hot_b.others.points);
-
-        const auto ra = analysis::resolution_breakdown(w.dataset);
-        const auto rb = analysis::resolution_breakdown(table);
-        ASSERT_EQ(ra.size(), rb.size());
-        for (std::size_t i = 0; i < ra.size(); ++i) {
-            EXPECT_EQ(ra[i].resolution, rb[i].resolution);
-            EXPECT_DOUBLE_EQ(ra[i].flow_share, rb[i].flow_share);
-            EXPECT_DOUBLE_EQ(ra[i].byte_share, rb[i].byte_share);
-        }
+        const std::vector<analysis::NamedSubnet> subnets{
+            {"net0", net::Subnet(net::IpAddress::from_octets(10, 0, 0, 0), 31)},
+            {"net1", net::Subnet(net::IpAddress::from_octets(10, 0, 0, 2), 31)}};
+        const auto sessions = analysis::SessionTable::build(ds, 1.0);
+        const auto dc = analysis::dc_column(ds, w.map);
+        log.add(analysis::traffic_by_dc(ds, w.map))
+            .add(analysis::preferred_dc(ds, w.map))
+            .add(analysis::non_preferred_share(ds, w.map, p))
+            .add(analysis::hourly_non_preferred_fraction(ds, w.map, p))
+            .add(analysis::hourly_preferred_series(ds, w.map, p))
+            .add(analysis::load_vs_nonpreferred_correlation(ds, w.map, p))
+            .add(analysis::video_non_preferred_counts(ds, w.map, p))
+            .add(analysis::top_redirected_videos(ds, w.map, p, 4))
+            .add(analysis::video_hourly_load(ds, w.map, p, video))
+            .add(analysis::preferred_dc_server_load(ds, w.map, p))
+            .add(analysis::subnet_breakdown(ds, w.map, p, subnets))
+            .add(analysis::hot_server_sessions(ds, sessions, dc, p, video))
+            .add(analysis::resolution_breakdown(ds));
     }
+    EXPECT_EQ(log.digest(), golden::kRandomScanAnalyses);
 }
 
 }  // namespace

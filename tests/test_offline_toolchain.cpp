@@ -13,8 +13,8 @@
 
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "capture/log_io.hpp"
 #include "study/study_run.hpp"
 
@@ -78,10 +78,12 @@ TEST_F(OfflineToolchainFixture, DiskRoundTripPreservesEveryConclusion) {
         EXPECT_NEAR(disk_share.byte_fraction, live_share.byte_fraction, 1e-12) << ext;
         EXPECT_NEAR(disk_share.flow_fraction, live_share.flow_fraction, 1e-12) << ext;
 
-        const auto live_patterns = analysis::session_patterns(
-            analysis::build_sessions(live, 1.0), live_map, live_pref);
-        const auto disk_patterns = analysis::session_patterns(
-            analysis::build_sessions(disk, 1.0), disk_map, disk_pref);
+        const auto live_patterns =
+            analysis::session_patterns(analysis::SessionTable::build(live, 1.0),
+                                       analysis::dc_column(live, live_map), live_pref);
+        const auto disk_patterns =
+            analysis::session_patterns(analysis::SessionTable::build(disk, 1.0),
+                                       analysis::dc_column(disk, disk_map), disk_pref);
         EXPECT_EQ(disk_patterns.total_sessions, live_patterns.total_sessions) << ext;
         EXPECT_NEAR(disk_patterns.single_flow, live_patterns.single_flow, 1e-9) << ext;
         EXPECT_NEAR(disk_patterns.two_pref_nonpref, live_patterns.two_pref_nonpref,

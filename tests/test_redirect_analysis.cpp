@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/redirect_analysis.hpp"
-#include "analysis/session.hpp"
+#include "analysis/streaming.hpp"
 #include "sim/time.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -59,7 +61,9 @@ TEST_F(RedirectFixture, Fig13MassAtOneSeparatesUnpopularFromHotContent) {
     // Nine videos redirected exactly once (cache-miss of unpopular content)
     // and one hot video redirected 40 times: the CDF shows 90% mass at 1
     // and a tail reaching 40 — the paper's signature shape.
-    for (std::uint64_t v = 1; v <= 9; ++v) add_flow(1, 100.0 * v, v);
+    for (std::uint64_t v = 1; v <= 9; ++v) {
+        add_flow(1, 100.0 * static_cast<double>(v), v);
+    }
     for (int i = 0; i < 40; ++i) add_flow(1, 1000.0 + i, /*video=*/99);
     for (int i = 0; i < 50; ++i) add_flow(0, 5000.0 + i, /*video=*/100);
 
@@ -134,9 +138,10 @@ TEST_F(RedirectFixture, HotServerSessionsSplitsStayersFromRedirected) {
     add_flow(0, 0.0, 5, 10'000, /*chost=*/1);                  // stays
     add_flow(0, sim::kHour + 0.0, 5, 500, /*chost=*/2);        // control, then
     add_flow(1, sim::kHour + 10.3, 5, 10'000, /*chost=*/2);    // redirected
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 2u);
-    const auto hot = analysis::hot_server_sessions(ds_, sessions, map_, milan_,
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
+    ASSERT_EQ(sessions.num_sessions(), 2u);
+    const auto hot = analysis::hot_server_sessions(ds_, sessions, dc, milan_,
                                                    cdn::VideoId{5});
     EXPECT_EQ(hot.server, server(0, 1));
     ASSERT_EQ(hot.all_preferred.points.size(), 2u);
@@ -146,10 +151,32 @@ TEST_F(RedirectFixture, HotServerSessionsSplitsStayersFromRedirected) {
     for (const auto& p : hot.others.points) EXPECT_DOUBLE_EQ(p.second, 0.0);
 }
 
+TEST_F(RedirectFixture, HotServerTieGoesToTheLowestServerIp) {
+    // Two preferred-DC servers take two requests each for video 5. The
+    // choice must not depend on hash-table iteration order, so it must not
+    // move when the records arrive in the opposite order.
+    add_flow(0, 0.0, 5, 10'000, /*chost=*/1, /*shost=*/1);
+    add_flow(0, 100.0, 5, 10'000, /*chost=*/2, /*shost=*/1);
+    add_flow(0, 200.0, 5, 10'000, /*chost=*/3, /*shost=*/2);
+    add_flow(0, 300.0, 5, 10'000, /*chost=*/4, /*shost=*/2);
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass == 0 ? "in order" : "reversed");
+        const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+        const auto dc = analysis::dc_column(ds_, map_);
+        const auto hot = analysis::hot_server_sessions(ds_, sessions, dc, milan_,
+                                                       cdn::VideoId{5});
+        EXPECT_EQ(hot.server, server(0, 1));
+        ASSERT_EQ(hot.all_preferred.points.size(), 1u);
+        EXPECT_DOUBLE_EQ(hot.all_preferred.points[0].second, 2.0);
+        std::reverse(ds_.records.begin(), ds_.records.end());
+    }
+}
+
 TEST_F(RedirectFixture, HotServerSessionsWithUnknownVideoIsEmpty) {
     add_flow(0, 0.0, 5);
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    const auto hot = analysis::hot_server_sessions(ds_, sessions, map_, milan_,
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto dc = analysis::dc_column(ds_, map_);
+    const auto hot = analysis::hot_server_sessions(ds_, sessions, dc, milan_,
                                                    cdn::VideoId{777});
     EXPECT_EQ(hot.server, net::IpAddress{});
     EXPECT_TRUE(hot.all_preferred.points.empty());

@@ -1,19 +1,22 @@
-// Streaming §VII equivalence battery (DESIGN.md §16): the out-of-core
-// pipeline — FlowLogWriter spill, FlowLogReader replay, incremental
-// analysis modules, and the two-pass scale runner — must reproduce the
-// batch toolchain bit for bit. Golden tests pin incremental == batch on a
-// real study dataset; property tests split the YFL2 stream at every byte
-// (hence every record boundary) and prove the readers fail identically on
-// every truncation and every single-byte corruption.
+// Streaming §VII battery (DESIGN.md §16): the out-of-core pipeline —
+// FlowLogWriter spill, FlowLogReader replay, the §VII folds, and the
+// two-pass scale runner — must reproduce the in-memory study bit for bit.
+// Golden tests pin each fold's output on a real study dataset to the
+// digests recorded from the implementations it replaced, and check that a
+// shuffled feed gives the same results; property tests split the YFL2
+// stream at every byte (hence every record boundary) and prove the readers
+// fail identically on every truncation and every single-byte corruption.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 #include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "capture/binary_log.hpp"
+#include "golden_digests.hpp"
 #include "sim/random.hpp"
 #include "study/scale_run.hpp"
 #include "study/study_run.hpp"
@@ -34,6 +38,7 @@ namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
 namespace fs = std::filesystem;
+namespace golden = ytcdn::golden;
 namespace net = ytcdn::net;
 namespace sim = ytcdn::sim;
 namespace study = ytcdn::study;
@@ -124,14 +129,6 @@ void expect_records_equal(const std::vector<capture::FlowRecord>& a,
 
 std::vector<std::pair<double, double>> cdf_points(const analysis::EmpiricalCdf& c) {
     return c.curve(std::numeric_limits<std::size_t>::max());
-}
-
-void expect_series_equal(const analysis::Series& a, const analysis::Series& b) {
-    EXPECT_EQ(a.name, b.name);
-    ASSERT_EQ(a.points.size(), b.points.size()) << a.name;
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        EXPECT_EQ(a.points[i], b.points[i]) << a.name << " @ " << i;
-    }
 }
 
 // --- FlowLogWriter / FlowLogReader vs the batch serializers ---------------
@@ -321,7 +318,7 @@ TEST(StreamingLog, CorruptFixturesFailIdenticallyInBothReaders) {
     fs::remove_all(scratch);
 }
 
-// --- incremental modules vs their batch twins -----------------------------
+// --- the §VII folds: pinned outputs and feed-order invariance ------------
 
 class StreamingModules : public ::testing::Test {
 protected:
@@ -334,117 +331,117 @@ protected:
     static void TearDownTestSuite() { run_.reset(); }
     static const study::StudyRun& run() { return *run_; }
 
+    /// Feeds vantage point i's records to `fold` in a seeded random order.
+    template <typename Fold>
+    static Fold fold_shuffled(std::size_t i, Fold fold) {
+        const auto& records = run().traces.datasets[i].records;
+        std::vector<std::size_t> order(records.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        sim::Rng rng(0x5EED + i);
+        std::shuffle(order.begin(), order.end(), rng.engine());
+        for (const std::size_t k : order) fold.add(records[k], run().dc_columns[i][k]);
+        return fold;
+    }
+
 private:
     static std::unique_ptr<study::StudyRun> run_;
 };
 
 std::unique_ptr<study::StudyRun> StreamingModules::run_;
 
+// Each test below logs the batch functions' results (the fold fed in record
+// order) and checks them against the digest recorded from the record walks
+// they replaced, then logs the same results from a shuffled feed and
+// requires identical text.
+
 TEST_F(StreamingModules, DcTrafficMatchesBatch) {
+    golden::ResultLog batch, shuffled;
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
-        analysis::IncrementalDcTraffic inc;
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        const auto batch = analysis::traffic_by_dc(ds, map);
-        const auto streamed = inc.traffic();
-        ASSERT_EQ(streamed.size(), batch.size()) << ds.name;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            EXPECT_EQ(streamed[k].dc, batch[k].dc) << ds.name;
-            EXPECT_EQ(streamed[k].bytes, batch[k].bytes) << ds.name;
-            EXPECT_EQ(streamed[k].video_flows, batch[k].video_flows) << ds.name;
-        }
-        EXPECT_EQ(inc.preferred(map), analysis::preferred_dc(ds, map)) << ds.name;
-        EXPECT_EQ(inc.preferred(map), run().preferred[i]) << ds.name;
-
-        const auto batch_share =
-            analysis::non_preferred_share(ds, map, run().preferred[i]);
-        const auto inc_share = inc.share(run().preferred[i]);
-        EXPECT_EQ(inc_share.byte_fraction, batch_share.byte_fraction) << ds.name;
-        EXPECT_EQ(inc_share.flow_fraction, batch_share.flow_fraction) << ds.name;
+        const int preferred = run().preferred[i];
+        batch.add(analysis::traffic_by_dc(ds, map))
+            .add(analysis::preferred_dc(ds, map))
+            .add(analysis::non_preferred_share(ds, map, preferred));
+        const auto inc = fold_shuffled(i, analysis::IncrementalDcTraffic{});
+        shuffled.add(inc.traffic()).add(inc.preferred(map)).add(inc.share(preferred));
+        EXPECT_EQ(inc.preferred(map), preferred) << ds.name;
     }
+    EXPECT_EQ(batch.digest(), golden::kFoldDcTraffic);
+    EXPECT_EQ(shuffled.text(), batch.text());
 }
 
 TEST_F(StreamingModules, HourlyLoadMatchesBatch) {
+    golden::ResultLog batch, shuffled;
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
         const int preferred = run().preferred[i];
-        analysis::IncrementalHourlyLoad inc(preferred, ds.name);
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        EXPECT_EQ(
-            cdf_points(inc.non_preferred_cdf()),
-            cdf_points(analysis::hourly_non_preferred_fraction(ds, map, preferred)))
-            << ds.name;
-        const auto batch = analysis::hourly_preferred_series(ds, map, preferred);
-        const auto streamed = inc.preferred_series();
-        expect_series_equal(streamed.fraction_preferred, batch.fraction_preferred);
-        expect_series_equal(streamed.flows_per_hour, batch.flows_per_hour);
-        EXPECT_EQ(inc.correlation(),
-                  analysis::load_vs_nonpreferred_correlation(ds, map, preferred))
-            << ds.name;
+        batch.add(analysis::hourly_non_preferred_fraction(ds, map, preferred))
+            .add(analysis::hourly_preferred_series(ds, map, preferred))
+            .add(analysis::load_vs_nonpreferred_correlation(ds, map, preferred));
+        const auto inc =
+            fold_shuffled(i, analysis::IncrementalHourlyLoad(preferred, ds.name));
+        shuffled.add(inc.non_preferred_cdf())
+            .add(inc.preferred_series())
+            .add(inc.correlation());
     }
+    EXPECT_EQ(batch.digest(), golden::kFoldHourlyLoad);
+    EXPECT_EQ(shuffled.text(), batch.text());
 }
 
 TEST_F(StreamingModules, VideoRedirectsMatchBatch) {
+    golden::ResultLog batch, shuffled;
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
         const int preferred = run().preferred[i];
-        analysis::IncrementalVideoRedirects inc(preferred);
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        EXPECT_EQ(cdf_points(inc.counts_cdf()),
-                  cdf_points(analysis::video_non_preferred_counts(ds, map, preferred)))
-            << ds.name;
-        EXPECT_EQ(inc.top_videos(4),
-                  analysis::top_redirected_videos(ds, map, preferred, 4))
-            << ds.name;
+        const auto top = analysis::top_redirected_videos(ds, map, preferred, 4);
+        batch.add(analysis::video_non_preferred_counts(ds, map, preferred)).add(top);
+        for (const auto video : top) {
+            batch.add(analysis::video_hourly_load(ds, map, preferred, video));
+        }
+        const auto inc = fold_shuffled(i, analysis::IncrementalVideoRedirects(preferred));
+        shuffled.add(inc.counts_cdf()).add(inc.top_videos(4));
+        for (const auto video : inc.top_videos(4)) {
+            shuffled.add(analysis::video_hourly_load(ds, run().dc_columns[i], preferred,
+                                                     video));
+        }
     }
+    EXPECT_EQ(batch.digest(), golden::kFoldVideoRedirects);
+    EXPECT_EQ(shuffled.text(), batch.text());
 }
 
 TEST_F(StreamingModules, SubnetBreakdownMatchesBatch) {
+    golden::ResultLog batch, shuffled;
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
         const int preferred = run().preferred[i];
         std::vector<analysis::NamedSubnet> subnets;
         for (const auto& g : run().deployment->vantage(i).subnets) {
             subnets.push_back({g.name, g.prefix});
         }
-        analysis::IncrementalSubnetBreakdown inc(preferred, subnets);
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        const auto batch = analysis::subnet_breakdown(ds, map, preferred, subnets);
-        const auto streamed = inc.shares();
-        ASSERT_EQ(streamed.size(), batch.size()) << ds.name;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            EXPECT_EQ(streamed[k].name, batch[k].name);
-            EXPECT_EQ(streamed[k].all_flows_share, batch[k].all_flows_share)
-                << ds.name << "/" << batch[k].name;
-            EXPECT_EQ(streamed[k].non_preferred_share, batch[k].non_preferred_share)
-                << ds.name << "/" << batch[k].name;
-        }
+        batch.add(analysis::subnet_breakdown(ds, run().maps[i], preferred, subnets));
+        shuffled.add(
+            fold_shuffled(i, analysis::IncrementalSubnetBreakdown(preferred, subnets))
+                .shares());
     }
+    EXPECT_EQ(batch.digest(), golden::kFoldSubnetBreakdown);
+    EXPECT_EQ(shuffled.text(), batch.text());
 }
 
 TEST_F(StreamingModules, ServerLoadMatchesBatch) {
+    golden::ResultLog batch, shuffled;
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
         const int preferred = run().preferred[i];
-        analysis::IncrementalServerLoad inc(preferred, ds.name);
-        // Dataset order == time-sorted order: the insertion-sequence
-        // precondition for the float-mean byte identity.
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        const auto batch = analysis::preferred_dc_server_load(ds, map, preferred);
-        const auto streamed = inc.series();
-        expect_series_equal(streamed.avg, batch.avg);
-        expect_series_equal(streamed.max, batch.max);
+        batch.add(analysis::preferred_dc_server_load(ds, run().maps[i], preferred));
+        shuffled.add(
+            fold_shuffled(i, analysis::IncrementalServerLoad(preferred, ds.name))
+                .series());
     }
+    EXPECT_EQ(batch.digest(), golden::kFoldServerLoad);
+    EXPECT_EQ(shuffled.text(), batch.text());
 }
 
 TEST_F(StreamingModules, ChunkedSpillReplayMatchesDirectFeed) {

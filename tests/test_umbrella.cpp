@@ -13,10 +13,10 @@ TEST(Umbrella, DocumentedFlowCompilesAndRuns) {
     const auto run = ytcdn::study::run_study(config);
 
     const auto idx = run.vp_index("EU1-ADSL");
-    const auto sessions =
-        ytcdn::analysis::build_sessions(run.dataset("EU1-ADSL"), 1.0);
+    const auto& adsl = run.dataset("EU1-ADSL");
+    const auto sessions = ytcdn::analysis::SessionTable::build(adsl, 1.0);
     const auto patterns = ytcdn::analysis::session_patterns(
-        sessions, run.maps[idx], run.preferred[idx]);
+        sessions, ytcdn::analysis::dc_column(adsl, run.maps[idx]), run.preferred[idx]);
     EXPECT_GT(patterns.total_sessions, 0u);
     EXPECT_GT(patterns.single_flow, 0.5);
 }
