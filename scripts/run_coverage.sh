@@ -8,6 +8,8 @@
 #   analysis/redirect_analysis    >= 80%
 #   analysis/subnet_analysis      >= 80%
 #   analysis/streaming            >= 80%  (the §VII folds those three run)
+#   capture/binary_log            >= 80%  (the one YFL2 decoder)
+#   sim/tracer                    >= 80%  (the one YTR1 walker)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -81,6 +83,8 @@ floors = [
     ("redirect_analysis", ["src/analysis/redirect_analysis"], 80.0),
     ("subnet_analysis", ["src/analysis/subnet_analysis"], 80.0),
     ("streaming", ["src/analysis/streaming"], 80.0),
+    ("binary_log", ["src/capture/binary_log"], 80.0),
+    ("tracer", ["src/sim/tracer"], 80.0),
 ]
 
 failed = False

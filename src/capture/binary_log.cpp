@@ -1,12 +1,12 @@
 #include "capture/binary_log.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <string>
 
 #include "util/atomic_file.hpp"
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -14,35 +14,18 @@ namespace ytcdn::capture {
 
 namespace {
 
-constexpr char kMagicV1[4] = {'Y', 'F', 'L', '1'};
-constexpr char kMagicV2[4] = {'Y', 'F', 'L', '2'};
+constexpr char kMagic[4] = {'Y', 'F', 'L', '2'};
 constexpr char kTrailerMagic[4] = {'Y', 'F', 'L', 'E'};
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionV2 = 2;
-constexpr std::size_t kHeaderSizeV1 = 4 + 4 + 8;
-constexpr std::size_t kHeaderSizeV2 = 4 + 4 + 8 + 4;  // + header CRC
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kPreambleSize = 4 + 4 + 8;     // magic|version|count
+constexpr std::size_t kHeaderSize = kPreambleSize + 4;  // + header CRC
 constexpr std::size_t kRecordSize = 4 + 4 + 8 + 8 + 8 + 8 + 1;
 constexpr std::size_t kBlockHeaderSize = 4 + 4;  // records-in-block + CRC
 constexpr std::size_t kTrailerSize = 4 + 8 + 4;  // magic + count + CRC
 constexpr std::uint64_t kBlockRecords = 4096;
 
-static_assert(std::endian::native == std::endian::little,
-              "binary log assumes a little-endian host");
-
-template <typename T>
-void put(std::string& buf, T value) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof(T));
-    std::memcpy(buf.data() + old, &value, sizeof(T));
-}
-
-template <typename T>
-T take(const char*& p) {
-    T value;
-    std::memcpy(&value, p, sizeof(T));
-    p += sizeof(T);
-    return value;
-}
+using util::codec::load;
+using util::codec::put;
 
 std::uint64_t num_blocks(std::uint64_t n) {
     return (n + kBlockRecords - 1) / kBlockRecords;
@@ -63,17 +46,17 @@ void put_record(std::string& buf, const FlowRecord& r) {
 util::Result<FlowRecord> parse_record(const char* p, std::uint64_t index,
                                       std::uint64_t offset) {
     FlowRecord r;
-    r.client_ip = net::IpAddress{take<std::uint32_t>(p)};
-    r.server_ip = net::IpAddress{take<std::uint32_t>(p)};
-    r.start = take<double>(p);
-    r.end = take<double>(p);
+    r.client_ip = net::IpAddress{load<std::uint32_t>(p)};
+    r.server_ip = net::IpAddress{load<std::uint32_t>(p + 4)};
+    r.start = load<double>(p + 8);
+    r.end = load<double>(p + 16);
     if (!std::isfinite(r.start) || !std::isfinite(r.end)) {
         return error_at_record(ErrorCode::BadField, "non-finite timestamp",
                                index, offset);
     }
-    r.bytes = take<std::uint64_t>(p);
-    r.video = cdn::VideoId{take<std::uint64_t>(p)};
-    const auto itag = take<std::uint8_t>(p);
+    r.bytes = load<std::uint64_t>(p + 24);
+    r.video = cdn::VideoId{load<std::uint64_t>(p + 32)};
+    const auto itag = load<std::uint8_t>(p + 40);
     const auto resolution = cdn::resolution_from_itag(itag);
     if (!resolution) {
         return error_at_record(ErrorCode::BadField,
@@ -83,173 +66,57 @@ util::Result<FlowRecord> parse_record(const char* p, std::uint64_t index,
     return r;
 }
 
-util::Result<std::vector<FlowRecord>> parse_v1(const std::string& data) {
-    const char* p = data.data() + sizeof(kMagicV1) + sizeof(std::uint32_t);
-    const auto count = take<std::uint64_t>(p);
-    // Reject counts the stream cannot possibly hold before doing size
-    // arithmetic with them: a tampered count must not overflow
-    // binary_log_size_v1 into a value that happens to match.
-    if (count > (data.size() - kHeaderSizeV1) / kRecordSize ||
-        data.size() != binary_log_size_v1(count)) {
-        return Error(ErrorCode::CountMismatch,
-                     "v1 size mismatch: declared " + std::to_string(count) +
-                         " records (" + std::to_string(binary_log_size_v1(count)) +
-                         " bytes), stream holds " + std::to_string(data.size()));
-    }
-    std::vector<FlowRecord> out;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t offset = kHeaderSizeV1 + i * kRecordSize;
-        auto record = parse_record(data.data() + offset, i, offset);
-        if (!record) return record.error();
-        out.push_back(std::move(record).value());
-    }
-    return out;
+/// The 20-byte header for `count` records (shared by the batch writer, the
+/// streaming writer's up-front zero-count write and its finish()-time
+/// patch, so all three take the exact same layout).
+std::string header_bytes(std::uint64_t count) {
+    std::string header(kMagic, sizeof(kMagic));
+    put(header, kVersion);
+    put(header, count);
+    put(header, util::crc32(header));
+    return header;
 }
 
-util::Result<std::vector<FlowRecord>> parse_v2(const std::string& data) {
-    if (data.size() < kHeaderSizeV2 + kTrailerSize) {
-        return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
-    }
-    const std::uint32_t header_crc =
-        util::crc32(std::string_view(data).substr(0, kHeaderSizeV2 - 4));
-    const char* p = data.data() + sizeof(kMagicV2) + sizeof(std::uint32_t);
-    const auto count = take<std::uint64_t>(p);
-    if (take<std::uint32_t>(p) != header_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSizeV2 - 4);
-    }
-    // As in parse_v1: bound the count before size arithmetic so a tampered
-    // value cannot overflow binary_log_size into a spurious match.
-    if (count > (data.size() - kHeaderSizeV2 - kTrailerSize) / kRecordSize ||
-        data.size() != binary_log_size(count)) {
-        return Error(ErrorCode::CountMismatch,
-                     "v2 size mismatch: declared " + std::to_string(count) +
-                         " records (" + std::to_string(binary_log_size(count)) +
-                         " bytes), stream holds " + std::to_string(data.size()));
-    }
-
-    std::vector<FlowRecord> out;
-    out.reserve(count);
-    std::uint64_t offset = kHeaderSizeV2;
-    std::uint64_t record_index = 0;
-    for (std::uint64_t block = 0; block < num_blocks(count); ++block) {
-        const std::uint64_t expected =
-            std::min<std::uint64_t>(kBlockRecords, count - record_index);
-        const char* bp = data.data() + offset;
-        const auto block_records = take<std::uint32_t>(bp);
-        const auto block_crc = take<std::uint32_t>(bp);
-        if (block_records != expected) {
-            return error_at_record(
-                ErrorCode::CountMismatch,
-                "block " + std::to_string(block) + " declares " +
-                    std::to_string(block_records) + " records, expected " +
-                    std::to_string(expected),
-                record_index, offset);
-        }
-        const std::uint64_t payload_offset = offset + kBlockHeaderSize;
-        const std::uint64_t payload_size = expected * kRecordSize;
-        const std::uint32_t actual_crc = util::crc32(
-            std::string_view(data).substr(payload_offset, payload_size));
-        if (actual_crc != block_crc) {
-            return error_at_record(
-                ErrorCode::ChecksumMismatch,
-                "block " + std::to_string(block) + " (records " +
-                    std::to_string(record_index) + ".." +
-                    std::to_string(record_index + expected - 1) + ") CRC mismatch",
-                record_index, payload_offset);
-        }
-        for (std::uint64_t i = 0; i < expected; ++i) {
-            const std::uint64_t record_offset = payload_offset + i * kRecordSize;
-            auto record =
-                parse_record(data.data() + record_offset, record_index, record_offset);
-            if (!record) return record.error();
-            out.push_back(std::move(record).value());
-            ++record_index;
-        }
-        offset = payload_offset + payload_size;
-    }
-
-    const char* tp = data.data() + offset;
-    if (std::memcmp(tp, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
-        return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", offset);
-    }
-    tp += sizeof(kTrailerMagic);
-    const auto trailer_count = take<std::uint64_t>(tp);
-    const std::uint32_t trailer_crc = util::crc32(
-        std::string_view(data).substr(offset, kTrailerSize - 4));
-    if (take<std::uint32_t>(tp) != trailer_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "trailer CRC mismatch",
-                             offset + kTrailerSize - 4);
-    }
-    if (trailer_count != count) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "trailer count " + std::to_string(trailer_count) +
-                                 " != header count " + std::to_string(count),
-                             offset + sizeof(kTrailerMagic));
-    }
-    return out;
-}
-
-std::string serialize_v2(const std::vector<FlowRecord>& records) {
-    std::string buf;
-    buf.reserve(binary_log_size(records.size()));
-    buf.append(kMagicV2, sizeof(kMagicV2));
-    put<std::uint32_t>(buf, kVersionV2);
-    put<std::uint64_t>(buf, records.size());
-    put<std::uint32_t>(buf, util::crc32(buf));
-
-    std::size_t i = 0;
-    while (i < records.size()) {
-        const std::size_t n =
-            std::min<std::size_t>(kBlockRecords, records.size() - i);
-        std::string payload;
-        payload.reserve(n * kRecordSize);
-        for (std::size_t k = 0; k < n; ++k) put_record(payload, records[i + k]);
-        put<std::uint32_t>(buf, static_cast<std::uint32_t>(n));
-        put<std::uint32_t>(buf, util::crc32(payload));
-        buf += payload;
-        i += n;
-    }
-
+std::string trailer_bytes(std::uint64_t count) {
     std::string trailer(kTrailerMagic, sizeof(kTrailerMagic));
-    put<std::uint64_t>(trailer, records.size());
-    put<std::uint32_t>(trailer, util::crc32(trailer));
-    buf += trailer;
-    return buf;
+    put(trailer, count);
+    put(trailer, util::crc32(trailer));
+    return trailer;
 }
 
 }  // namespace
 
 std::size_t binary_log_size(std::size_t n) noexcept {
-    return kHeaderSizeV2 + num_blocks(n) * kBlockHeaderSize + n * kRecordSize +
+    return kHeaderSize + num_blocks(n) * kBlockHeaderSize + n * kRecordSize +
            kTrailerSize;
 }
 
-std::size_t binary_log_size_v1(std::size_t n) noexcept {
-    return kHeaderSizeV1 + n * kRecordSize;
+std::string binary_log_bytes(const std::vector<FlowRecord>& records) {
+    std::string buf = header_bytes(records.size());
+    buf.reserve(binary_log_size(records.size()));
+    std::string payload;
+    for (std::size_t i = 0; i < records.size(); i += kBlockRecords) {
+        const std::size_t n =
+            std::min<std::size_t>(kBlockRecords, records.size() - i);
+        payload.clear();
+        for (std::size_t k = 0; k < n; ++k) put_record(payload, records[i + k]);
+        put(buf, static_cast<std::uint32_t>(n));
+        put(buf, util::crc32(payload));
+        buf += payload;
+    }
+    buf += trailer_bytes(records.size());
+    return buf;
 }
 
 void write_binary_log(std::ostream& os, const std::vector<FlowRecord>& records) {
-    const std::string buf = serialize_v2(records);
+    const std::string buf = binary_log_bytes(records);
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!os) throw Error(ErrorCode::Io, "write_binary_log: stream write failed");
 }
 
-void write_binary_log_v1(std::ostream& os, const std::vector<FlowRecord>& records) {
-    std::string buf;
-    buf.reserve(binary_log_size_v1(records.size()));
-    buf.append(kMagicV1, sizeof(kMagicV1));
-    put<std::uint32_t>(buf, kVersionV1);
-    put<std::uint64_t>(buf, records.size());
-    for (const auto& r : records) put_record(buf, r);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!os) throw Error(ErrorCode::Io, "write_binary_log_v1: stream write failed");
-}
-
 util::Result<void> write_binary_log_result(const std::filesystem::path& path,
                                            const std::vector<FlowRecord>& records) {
-    return util::atomic_write_file(path, serialize_v2(records))
+    return util::atomic_write_file(path, binary_log_bytes(records))
         .context("write_binary_log " + path.string());
 }
 
@@ -258,31 +125,16 @@ void write_binary_log(const std::filesystem::path& path,
     write_binary_log_result(path, records).value_or_throw();
 }
 
+util::Result<std::vector<FlowRecord>> read_binary_log_bytes(std::string_view data) {
+    auto reader = FlowLogReader::from_bytes(data);
+    if (!reader) return reader.error();
+    return reader.value().read_all();
+}
+
 util::Result<std::vector<FlowRecord>> read_binary_log_result(std::istream& is) {
-    std::string data{std::istreambuf_iterator<char>(is),
-                     std::istreambuf_iterator<char>()};
-    if (data.size() < kHeaderSizeV1) {
-        return Error(ErrorCode::Truncated,
-                     "truncated header: " + std::to_string(data.size()) + " bytes");
-    }
-    const char* p = data.data() + sizeof(kMagicV1);
-    const char* magic = data.data();
-    const auto version = take<std::uint32_t>(p);
-    if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-        if (version != kVersionV1) {
-            return Error(ErrorCode::UnsupportedVersion,
-                         "magic YFL1 with version " + std::to_string(version));
-        }
-        return parse_v1(data);
-    }
-    if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-        if (version != kVersionV2) {
-            return Error(ErrorCode::UnsupportedVersion,
-                         "magic YFL2 with version " + std::to_string(version));
-        }
-        return parse_v2(data);
-    }
-    return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
+    const std::string data{std::istreambuf_iterator<char>(is),
+                           std::istreambuf_iterator<char>()};
+    return read_binary_log_bytes(data);
 }
 
 util::Result<std::vector<FlowRecord>> read_binary_log_result(
@@ -291,8 +143,8 @@ util::Result<std::vector<FlowRecord>> read_binary_log_result(
     if (!data) {
         return std::move(data).context("read_binary_log " + path.string()).error();
     }
-    std::istringstream is(std::move(data).value());
-    return read_binary_log_result(is).context("read_binary_log " + path.string());
+    return read_binary_log_bytes(data.value())
+        .context("read_binary_log " + path.string());
 }
 
 std::vector<FlowRecord> read_binary_log(std::istream& is) {
@@ -305,21 +157,6 @@ std::vector<FlowRecord> read_binary_log(const std::filesystem::path& path) {
 
 // --- streaming writer --------------------------------------------------------
 
-namespace {
-
-/// The 20-byte v2 header for `count` records (shared by the up-front
-/// zero-count write and the finish()-time patch, so both take the exact
-/// serialize_v2 layout).
-std::string v2_header(std::uint64_t count) {
-    std::string header(kMagicV2, sizeof(kMagicV2));
-    put<std::uint32_t>(header, kVersionV2);
-    put<std::uint64_t>(header, count);
-    put<std::uint32_t>(header, util::crc32(header));
-    return header;
-}
-
-}  // namespace
-
 util::Result<FlowLogWriter> FlowLogWriter::create(
     const std::filesystem::path& path) {
     auto writer = util::io::FileWriter::create(path);
@@ -329,7 +166,7 @@ util::Result<FlowLogWriter> FlowLogWriter::create(
     FlowLogWriter out;
     out.writer_ = std::move(writer).value();
     out.block_.reserve(kBlockRecords * kRecordSize);
-    if (auto r = out.writer_.append(v2_header(0)); !r) {
+    if (auto r = out.writer_.append(header_bytes(0)); !r) {
         return std::move(r).context("FlowLogWriter " + path.string()).error();
     }
     return out;
@@ -339,8 +176,8 @@ util::Result<void> FlowLogWriter::flush_block() {
     if (block_records_ == 0) return {};
     std::string frame;
     frame.reserve(kBlockHeaderSize + block_.size());
-    put<std::uint32_t>(frame, block_records_);
-    put<std::uint32_t>(frame, util::crc32(block_));
+    put(frame, block_records_);
+    put(frame, util::crc32(block_));
     frame += block_;
     block_.clear();
     block_records_ = 0;
@@ -368,17 +205,16 @@ util::Result<void> FlowLogWriter::finish() {
         return std::move(error).context("FlowLogWriter " + where);
     };
     if (auto r = flush_block(); !r) return fail(std::move(r).error());
-    std::string trailer(kTrailerMagic, sizeof(kTrailerMagic));
-    put<std::uint64_t>(trailer, count_);
-    put<std::uint32_t>(trailer, util::crc32(trailer));
-    if (auto r = writer_.append(trailer); !r) return fail(std::move(r).error());
-    if (auto r = writer_.write_at(0, v2_header(count_)); !r) {
+    if (auto r = writer_.append(trailer_bytes(count_)); !r) {
+        return fail(std::move(r).error());
+    }
+    if (auto r = writer_.write_at(0, header_bytes(count_)); !r) {
         return fail(std::move(r).error());
     }
     return writer_.publish().context("FlowLogWriter " + where);
 }
 
-// --- streaming reader --------------------------------------------------------
+// --- reader ------------------------------------------------------------------
 
 util::Result<FlowLogReader> FlowLogReader::open(const std::filesystem::path& path,
                                                 std::size_t chunk_bytes) {
@@ -386,91 +222,76 @@ util::Result<FlowLogReader> FlowLogReader::open(const std::filesystem::path& pat
     if (!reader) {
         return std::move(reader).context("FlowLogReader " + path.string()).error();
     }
-    // The batch parser sees the whole stream at once and validates the
-    // declared count against the total size *before* touching any block;
-    // replicating that check here (from the file's stat size) keeps the two
-    // readers' error taxonomies identical — a truncated log fails with the
-    // same CountMismatch either way, not Truncated from whichever block the
-    // incremental reader happened to be in.
     std::error_code size_ec;
     const std::uint64_t file_size = std::filesystem::file_size(path, size_ec);
     if (size_ec) {
         return Error(ErrorCode::Io, "stat failed for " + path.string() + ": " +
                                         size_ec.message());
     }
-
     FlowLogReader out;
     out.reader_ = std::move(reader).value();
     out.chunk_ = chunk_bytes == 0 ? 1 : chunk_bytes;
-
-    auto have = out.fill(kHeaderSizeV1);
-    if (!have) return std::move(have).error();
-    if (!have.value()) {
-        return Error(ErrorCode::Truncated,
-                     "truncated header: " +
-                         std::to_string(out.buf_.size() - out.pos_) + " bytes");
-    }
-    const char* p = out.buf_.data() + out.pos_;
-    const bool v1 = std::memcmp(p, kMagicV1, sizeof(kMagicV1)) == 0;
-    const bool v2 = std::memcmp(p, kMagicV2, sizeof(kMagicV2)) == 0;
-    if (!v1 && !v2) return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
-    p += sizeof(kMagicV1);
-    const auto version = take<std::uint32_t>(p);
-    if (v1) {
-        if (version != kVersionV1) {
-            return Error(ErrorCode::UnsupportedVersion,
-                         "magic YFL1 with version " + std::to_string(version));
-        }
-        out.count_ = take<std::uint64_t>(p);
-        if (out.count_ > (file_size - kHeaderSizeV1) / kRecordSize ||
-            file_size != binary_log_size_v1(out.count_)) {
-            return Error(ErrorCode::CountMismatch,
-                         "v1 size mismatch: declared " +
-                             std::to_string(out.count_) + " records (" +
-                             std::to_string(binary_log_size_v1(out.count_)) +
-                             " bytes), stream holds " +
-                             std::to_string(file_size));
-        }
-        out.version_ = kVersionV1;
-        out.pos_ += kHeaderSizeV1;
-        out.abs_ += kHeaderSizeV1;
-        return out;
-    }
-    if (version != kVersionV2) {
-        return Error(ErrorCode::UnsupportedVersion,
-                     "magic YFL2 with version " + std::to_string(version));
-    }
-    if (file_size < kHeaderSizeV2 + kTrailerSize) {
-        return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
-    }
-    have = out.fill(kHeaderSizeV2);
-    if (!have) return std::move(have).error();
-    if (!have.value()) {
-        return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
-    }
-    p = out.buf_.data() + out.pos_;
-    const std::uint32_t header_crc = util::crc32(
-        std::string_view(p, kHeaderSizeV2 - 4));
-    p += sizeof(kMagicV2) + sizeof(std::uint32_t);
-    out.count_ = take<std::uint64_t>(p);
-    if (take<std::uint32_t>(p) != header_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSizeV2 - 4);
-    }
-    if (out.count_ > (file_size - kHeaderSizeV2 - kTrailerSize) / kRecordSize ||
-        file_size != binary_log_size(out.count_)) {
-        return Error(ErrorCode::CountMismatch,
-                     "v2 size mismatch: declared " + std::to_string(out.count_) +
-                         " records (" + std::to_string(binary_log_size(out.count_)) +
-                         " bytes), stream holds " + std::to_string(file_size));
-    }
-    out.version_ = kVersionV2;
-    out.pos_ += kHeaderSizeV2;
-    out.abs_ += kHeaderSizeV2;
+    if (auto r = out.read_header(file_size); !r) return r.error();
     return out;
 }
 
+util::Result<FlowLogReader> FlowLogReader::from_bytes(std::string_view data) {
+    FlowLogReader out;
+    out.bytes_ = data;
+    if (auto r = out.read_header(data.size()); !r) return r.error();
+    return out;
+}
+
+util::Result<void> FlowLogReader::read_header(std::uint64_t stream_size) {
+    auto have = fill(kPreambleSize);
+    if (!have) return std::move(have).error();
+    if (!have.value()) {
+        return Error(ErrorCode::Truncated,
+                     "truncated header: " + std::to_string(unread().size()) +
+                         " bytes");
+    }
+    const char* p = unread().data();
+    if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
+        return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
+    }
+    const auto version = load<std::uint32_t>(p + sizeof(kMagic));
+    if (version != kVersion) {
+        return Error(ErrorCode::UnsupportedVersion,
+                     "magic YFL2 with version " + std::to_string(version));
+    }
+    if (stream_size < kHeaderSize + kTrailerSize) {
+        return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
+    }
+    have = fill(kHeaderSize);
+    if (!have) return std::move(have).error();
+    if (!have.value()) {
+        return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
+    }
+    p = unread().data();
+    count_ = load<std::uint64_t>(p + sizeof(kMagic) + sizeof(version));
+    if (load<std::uint32_t>(p + kPreambleSize) !=
+        util::crc32(std::string_view(p, kPreambleSize))) {
+        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
+                             kPreambleSize);
+    }
+    // The declared count is checked against the whole stream's size before
+    // any block is touched (bounded first, so a tampered count cannot
+    // overflow binary_log_size into a spurious match): a truncated log fails
+    // with this one CountMismatch, not with Truncated from whichever block
+    // the read happened to reach.
+    if (count_ > (stream_size - kHeaderSize - kTrailerSize) / kRecordSize ||
+        stream_size != binary_log_size(count_)) {
+        return Error(ErrorCode::CountMismatch,
+                     "v2 size mismatch: declared " + std::to_string(count_) +
+                         " records (" + std::to_string(binary_log_size(count_)) +
+                         " bytes), stream holds " + std::to_string(stream_size));
+    }
+    consume(kHeaderSize);
+    return {};
+}
+
 util::Result<bool> FlowLogReader::fill(std::size_t need) {
+    if (!reader_.is_open()) return bytes_.size() - pos_ >= need;
     if (pos_ > 0 && buf_.size() - pos_ < need) {
         buf_.erase(0, pos_);
         pos_ = 0;
@@ -483,49 +304,32 @@ util::Result<bool> FlowLogReader::fill(std::size_t need) {
     return true;
 }
 
+std::string_view FlowLogReader::unread() const noexcept {
+    return (reader_.is_open() ? std::string_view(buf_) : bytes_).substr(pos_);
+}
+
+void FlowLogReader::consume(std::size_t n) noexcept {
+    pos_ += n;
+    abs_ += n;
+}
+
 util::Result<std::size_t> FlowLogReader::next(std::vector<FlowRecord>& out) {
     out.clear();
+    return read_block(out);
+}
+
+util::Result<std::vector<FlowRecord>> FlowLogReader::read_all() {
+    std::vector<FlowRecord> out;
+    out.reserve(count_ - read_);
+    for (;;) {
+        auto n = read_block(out);
+        if (!n) return std::move(n).error();
+        if (n.value() == 0) return out;
+    }
+}
+
+util::Result<std::size_t> FlowLogReader::read_block(std::vector<FlowRecord>& out) {
     if (done_) return std::size_t{0};
-    return version_ == kVersionV1 ? next_v1(out) : next_v2(out);
-}
-
-util::Result<std::size_t> FlowLogReader::next_v1(std::vector<FlowRecord>& out) {
-    if (read_ == count_) {
-        // parse_v1 validates the exact file size; the incremental
-        // equivalent is "no bytes may remain past the declared records".
-        auto more = fill(1);
-        if (!more) return std::move(more).error();
-        if (more.value()) {
-            return Error(ErrorCode::CountMismatch,
-                         "v1 size mismatch: bytes remain past the declared " +
-                             std::to_string(count_) + " records");
-        }
-        done_ = true;
-        return std::size_t{0};
-    }
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockRecords, count_ - read_));
-    auto have = fill(n * kRecordSize);
-    if (!have) return std::move(have).error();
-    if (!have.value()) {
-        return Error(ErrorCode::CountMismatch,
-                     "v1 size mismatch: declared " + std::to_string(count_) +
-                         " records, stream ends inside record " +
-                         std::to_string(read_ + (buf_.size() - pos_) / kRecordSize));
-    }
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto record = parse_record(buf_.data() + pos_, read_, abs_);
-        if (!record) return std::move(record).error();
-        out.push_back(std::move(record).value());
-        pos_ += kRecordSize;
-        abs_ += kRecordSize;
-        ++read_;
-    }
-    return n;
-}
-
-util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
     if (read_ == count_) {
         auto have = fill(kTrailerSize);
         if (!have) return std::move(have).error();
@@ -533,15 +337,13 @@ util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
             return error_at_byte(ErrorCode::Truncated, "truncated v2 trailer",
                                  abs_);
         }
-        const char* tp = buf_.data() + pos_;
+        const char* tp = unread().data();
         if (std::memcmp(tp, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
             return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", abs_);
         }
-        const std::uint32_t trailer_crc =
-            util::crc32(std::string_view(tp, kTrailerSize - 4));
-        tp += sizeof(kTrailerMagic);
-        const auto trailer_count = take<std::uint64_t>(tp);
-        if (take<std::uint32_t>(tp) != trailer_crc) {
+        const auto trailer_count = load<std::uint64_t>(tp + sizeof(kTrailerMagic));
+        if (load<std::uint32_t>(tp + kTrailerSize - 4) !=
+            util::crc32(std::string_view(tp, kTrailerSize - 4))) {
             return error_at_byte(ErrorCode::ChecksumMismatch,
                                  "trailer CRC mismatch",
                                  abs_ + kTrailerSize - 4);
@@ -552,8 +354,7 @@ util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
                                      " != header count " + std::to_string(count_),
                                  abs_ + sizeof(kTrailerMagic));
         }
-        pos_ += kTrailerSize;
-        abs_ += kTrailerSize;
+        consume(kTrailerSize);
         auto more = fill(1);
         if (!more) return std::move(more).error();
         if (more.value()) {
@@ -573,9 +374,7 @@ util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
         return error_at_byte(ErrorCode::Truncated,
                              "truncated block " + std::to_string(block), abs_);
     }
-    const char* bp = buf_.data() + pos_;
-    const auto block_records = take<std::uint32_t>(bp);
-    const auto block_crc = take<std::uint32_t>(bp);
+    const auto block_records = load<std::uint32_t>(unread().data());
     if (block_records != expected) {
         return error_at_record(
             ErrorCode::CountMismatch,
@@ -592,10 +391,10 @@ util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
                              "stream ends inside block " + std::to_string(block),
                              abs_ + kBlockHeaderSize);
     }
+    const char* bp = unread().data();
     const std::uint64_t payload_abs = abs_ + kBlockHeaderSize;
-    const std::uint32_t actual_crc = util::crc32(std::string_view(
-        buf_.data() + pos_ + kBlockHeaderSize, payload_size));
-    if (actual_crc != block_crc) {
+    if (util::crc32(std::string_view(bp + kBlockHeaderSize, payload_size)) !=
+        load<std::uint32_t>(bp + 4)) {
         return error_at_record(
             ErrorCode::ChecksumMismatch,
             "block " + std::to_string(block) + " (records " +
@@ -603,15 +402,13 @@ util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
                 std::to_string(read_ + expected - 1) + ") CRC mismatch",
             read_, payload_abs);
     }
-    pos_ += kBlockHeaderSize;
-    abs_ += kBlockHeaderSize;
-    out.reserve(expected);
+    consume(kBlockHeaderSize);
+    out.reserve(out.size() + expected);
     for (std::size_t i = 0; i < expected; ++i) {
-        auto record = parse_record(buf_.data() + pos_, read_, abs_);
+        auto record = parse_record(unread().data(), read_, abs_);
         if (!record) return std::move(record).error();
         out.push_back(std::move(record).value());
-        pos_ += kRecordSize;
-        abs_ += kRecordSize;
+        consume(kRecordSize);
         ++read_;
     }
     return expected;

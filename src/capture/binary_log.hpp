@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "capture/flow_record.hpp"
@@ -12,13 +13,13 @@
 
 namespace ytcdn::capture {
 
-/// Compact checksummed binary flow-log format ("YFL2"; readers also accept
-/// the legacy unchecksummed "YFL1").
+/// Compact checksummed binary flow-log format ("YFL2").
 ///
 /// At paper scale a week of flow records runs to hundreds of MB as TSV;
-/// the binary form is ~41 bytes per record and loss-free. v2 adds CRC32
-/// framing so a flipped bit on disk is detected at load time with the
-/// record index and byte offset of the damage. Layout (little-endian):
+/// the binary form is ~41 bytes per record and loss-free. CRC32 framing
+/// means a flipped bit on disk is detected at load time with the record
+/// index and byte offset of the damage. Layout (little-endian, the
+/// util/codec.hpp conventions):
 ///
 ///   header:   magic "YFL2" | u32 version (=2) | u64 record count |
 ///             u32 crc32 of the preceding 16 header bytes
@@ -30,17 +31,24 @@ namespace ytcdn::capture {
 ///   trailer:  magic "YFLE" | u64 record count | u32 crc32 of the
 ///             preceding 12 trailer bytes
 ///
-/// v1 ("YFL1", version 1) is header + records with no checksums; readers
-/// keep accepting it so logs written by older builds stay loadable.
+/// YFL2 is the only version: any other magic (the retired unchecksummed
+/// "YFL1" included) is BadMagic. FlowLogReader is the only decoder; the
+/// whole-log readers below drain it over an in-memory byte source, so a
+/// batch read and a streamed read of the same bytes fail identically.
 ///
 /// The *_result functions return a typed ytcdn::Error (code + byte-offset /
 /// record-index provenance) instead of throwing; the legacy-named entry
 /// points are thin wrappers that throw that same Error (which derives
 /// std::runtime_error, so existing catch sites are unaffected).
+[[nodiscard]] util::Result<std::vector<FlowRecord>> read_binary_log_bytes(
+    std::string_view data);
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_binary_log_result(
     std::istream& is);
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_binary_log_result(
     const std::filesystem::path& path);
+
+/// The complete YFL2 bytes of `records`.
+[[nodiscard]] std::string binary_log_bytes(const std::vector<FlowRecord>& records);
 
 /// Atomic (tmp + rename + fsync) when writing to a path: a crashed writer
 /// never leaves a torn log under the final name.
@@ -54,17 +62,10 @@ void write_binary_log(const std::filesystem::path& path,
 [[nodiscard]] std::vector<FlowRecord> read_binary_log(std::istream& is);
 [[nodiscard]] std::vector<FlowRecord> read_binary_log(const std::filesystem::path& path);
 
-/// Writes the legacy v1 format (no checksums). Kept for the version-compat
-/// tests and the fuzz harness; new code writes v2 via write_binary_log.
-void write_binary_log_v1(std::ostream& os, const std::vector<FlowRecord>& records);
-
-/// On-disk size of a v2 log with `n` records, in bytes.
+/// On-disk size of a log with `n` records, in bytes.
 [[nodiscard]] std::size_t binary_log_size(std::size_t n) noexcept;
 
-/// On-disk size of a legacy v1 log with `n` records, in bytes.
-[[nodiscard]] std::size_t binary_log_size_v1(std::size_t n) noexcept;
-
-/// Streaming v2 writer with bounded memory: records append through a
+/// Streaming writer with bounded memory: records append through a
 /// one-block (4096-record) buffer, the header is written up front with a
 /// zero count and back-filled on finish(), and the file only appears under
 /// its final name after a durable publish — so a crashed spill run leaves
@@ -101,13 +102,14 @@ private:
     std::uint64_t count_ = 0;
 };
 
-/// Incremental flow-log reader: delivers records one CRC-verified block at
-/// a time through util::io::FileReader, holding O(block) memory however
-/// large the log is. Accepts both v2 and legacy v1 streams and reports the
-/// same typed error taxonomy as read_binary_log (BadMagic /
-/// UnsupportedVersion / Truncated / ChecksumMismatch / CountMismatch /
-/// BadField) with absolute byte/record provenance — the golden fuzz
-/// fixtures pin that the two readers fail identically.
+/// The YFL2 decoder: delivers records one CRC-verified block at a time
+/// from a file (through util::io::FileReader, holding O(block) memory
+/// however large the log is) or from bytes already in memory. Both sources
+/// share one header check, which validates the declared count against the
+/// stream size before any block is read, so every input yields the same
+/// typed error (BadMagic / UnsupportedVersion / Truncated /
+/// ChecksumMismatch / CountMismatch / BadField, with absolute byte/record
+/// provenance) from either source.
 class FlowLogReader {
 public:
     FlowLogReader() = default;
@@ -120,27 +122,37 @@ public:
     [[nodiscard]] static util::Result<FlowLogReader> open(
         const std::filesystem::path& path, std::size_t chunk_bytes = 1 << 20);
 
+    /// Decodes `data` in place; the bytes must outlive the reader.
+    [[nodiscard]] static util::Result<FlowLogReader> from_bytes(std::string_view data);
+
     /// Replaces `out` with the next block of records (≤ 4096). Returns the
-    /// count; 0 means the stream ended cleanly (v2: trailer validated).
+    /// count; 0 means the stream ended cleanly (trailer validated).
     [[nodiscard]] util::Result<std::size_t> next(std::vector<FlowRecord>& out);
+
+    /// Every remaining record, through the trailer.
+    [[nodiscard]] util::Result<std::vector<FlowRecord>> read_all();
 
     [[nodiscard]] std::uint64_t declared_records() const noexcept { return count_; }
     [[nodiscard]] std::uint64_t records_read() const noexcept { return read_; }
-    [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
 
 private:
+    [[nodiscard]] util::Result<void> read_header(std::uint64_t stream_size);
+    /// Makes at least `need` unread bytes available; false when the source
+    /// ends first (an in-memory source never has more).
     [[nodiscard]] util::Result<bool> fill(std::size_t need);
-    [[nodiscard]] util::Result<std::size_t> next_v1(std::vector<FlowRecord>& out);
-    [[nodiscard]] util::Result<std::size_t> next_v2(std::vector<FlowRecord>& out);
+    [[nodiscard]] std::string_view unread() const noexcept;
+    void consume(std::size_t n) noexcept;
+    /// Appends the next block to `out`; 0 once the trailer is validated.
+    [[nodiscard]] util::Result<std::size_t> read_block(std::vector<FlowRecord>& out);
 
-    util::io::FileReader reader_;
-    std::string buf_;
-    std::size_t pos_ = 0;        // unconsumed bytes start here in buf_
-    std::uint64_t abs_ = 0;      // absolute stream offset of buf_[pos_]
+    util::io::FileReader reader_;  // closed for an in-memory source
+    std::string buf_;              // file source: bytes read, not yet dropped
+    std::string_view bytes_;       // in-memory source
+    std::size_t pos_ = 0;          // unread bytes start here in the source
+    std::uint64_t abs_ = 0;        // absolute stream offset of the unread bytes
     std::size_t chunk_ = 1 << 20;
     std::uint64_t count_ = 0;
     std::uint64_t read_ = 0;
-    std::uint32_t version_ = 0;
     bool done_ = false;
 };
 

@@ -3,19 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/bits.hpp"
+
 namespace ytcdn::net {
-
-namespace {
-
-/// SplitMix64 finalizer: a strong 64-bit mix with good avalanche behaviour.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
 
 RttModel::RttModel(const Config& config) : config_(config) {
     if (config_.ms_per_km <= 0.0) throw std::invalid_argument("ms_per_km must be > 0");
@@ -29,7 +19,7 @@ RttModel::RttModel(const Config& config) : config_(config) {
 
 std::uint64_t RttModel::pair_key(std::uint64_t a, std::uint64_t b) noexcept {
     if (a > b) std::swap(a, b);
-    return mix64(mix64(a) ^ (b + 0x9E3779B97F4A7C15ull));
+    return util::splitmix64(util::splitmix64(a) ^ (b + 0x9E3779B97F4A7C15ull));
 }
 
 void RttModel::set_inflation(std::uint64_t a, std::uint64_t b, double factor) {
@@ -43,8 +33,8 @@ double RttModel::inflation(std::uint64_t a, std::uint64_t b) const noexcept {
         return it->second;
     }
     // Uniform in [min_inflation, max_inflation], derived from the pair hash.
-    const double u =
-        static_cast<double>(mix64(key) >> 11) / static_cast<double>(1ull << 53);
+    const double u = static_cast<double>(util::splitmix64(key) >> 11) /
+                     static_cast<double>(1ull << 53);
     return config_.min_inflation + u * (config_.max_inflation - config_.min_inflation);
 }
 
@@ -56,7 +46,7 @@ double RttModel::base_rtt_ms(const NetSite& a, const NetSite& b) const noexcept 
     const std::uint64_t key = pair_key(a.id, b.id);
     double noise = 0.0;
     if (!inflation_overrides_.contains(key)) {
-        const double u = static_cast<double>(mix64(key ^ 0x5157ull) >> 11) /
+        const double u = static_cast<double>(util::splitmix64(key ^ 0x5157ull) >> 11) /
                          static_cast<double>(1ull << 53);
         // Right-skewed (u^2): most paths are clean, a minority carries
         // noticeable peering detours — matching the long tail of CBG

@@ -1,9 +1,9 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -11,6 +11,8 @@
 #include "service/control.hpp"
 #include "service/spool.hpp"
 #include "study/checkpoint.hpp"
+#include "util/bits.hpp"
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
@@ -50,36 +52,13 @@ ServiceMetrics& service_metrics() {
 
 volatile std::sig_atomic_t g_stop = 0;
 
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t bits_of(double v) {
-    std::uint64_t out = 0;
-    std::memcpy(&out, &v, sizeof(out));
-    return out;
-}
-
-std::string hex(std::uint64_t v, int digits) {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string out(static_cast<std::size_t>(digits), '0');
-    for (int i = digits - 1; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-        v >>= 4;
-    }
-    return out;
-}
-
 /// Every option that shapes aggregate bytes; mutable scenario state
 /// (policy, drains, fault plans) is deliberately excluded — it is part of
 /// the checkpointed state, not the key.
 std::uint64_t fingerprint_of(const ServiceOptions& options) {
-    std::uint64_t h = mix64(0x79'74'63'64'6Eull);  // "ytcdn" salt
-    const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
-    fold(bits_of(options.gap_T_s));
+    std::uint64_t h = util::splitmix64(0x79'74'63'64'6Eull);  // "ytcdn" salt
+    const auto fold = [&h](std::uint64_t v) { h = util::splitmix64(h ^ v); };
+    fold(std::bit_cast<std::uint64_t>(options.gap_T_s));
     fold(options.queue_capacity);
     fold(options.batch_records);
     return h;
@@ -88,54 +67,7 @@ std::uint64_t fingerprint_of(const ServiceOptions& options) {
 // --- composite checkpoint payload -------------------------------------------
 //
 // aggregates section (ServiceAggregates codec) + processed-file ledger +
-// shed log + control-mutation history + totals. Same conventions as the
-// aggregates codec: little-endian, u32-length strings.
-
-template <typename T>
-void put(std::string& buf, T value) {
-    char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    buf.append(raw, sizeof(T));
-}
-
-void put_str32(std::string& buf, std::string_view s) {
-    put(buf, static_cast<std::uint32_t>(s.size()));
-    buf.append(s);
-}
-
-class Reader {
-public:
-    explicit Reader(std::string_view data) : data_(data) {}
-
-    template <typename T>
-    bool take(T* out) {
-        if (data_.size() - off_ < sizeof(T)) return false;
-        std::memcpy(out, data_.data() + off_, sizeof(T));
-        off_ += sizeof(T);
-        return true;
-    }
-
-    bool take_str32(std::string* out) {
-        std::uint32_t n = 0;
-        if (!take(&n)) return false;
-        if (data_.size() - off_ < n) return false;
-        out->assign(data_.substr(off_, n));
-        off_ += n;
-        return true;
-    }
-
-    [[nodiscard]] bool done() const noexcept { return off_ == data_.size(); }
-
-    [[nodiscard]] Error truncated() const {
-        return Error(ErrorCode::Truncated,
-                     "service checkpoint payload truncated at byte " +
-                         std::to_string(off_));
-    }
-
-private:
-    std::string_view data_;
-    std::size_t off_ = 0;
-};
+// shed log + control-mutation history + totals, in the util::codec layout.
 
 struct ServiceState {
     ServiceAggregates aggregates{1.0};
@@ -145,6 +77,15 @@ struct ServiceState {
     std::uint64_t files_ingested = 0;
     std::uint64_t records_ingested = 0;
 };
+
+using util::codec::put;
+using util::codec::put_str32;
+
+Error truncated(const util::codec::ByteReader& r) {
+    return Error(ErrorCode::Truncated,
+                 "service checkpoint payload truncated at byte " +
+                     std::to_string(r.offset()));
+}
 
 std::string encode_state(const ServiceState& state) {
     std::string buf;
@@ -173,10 +114,10 @@ std::string encode_state(const ServiceState& state) {
 }
 
 util::Result<ServiceState> decode_state(std::string_view payload) {
-    Reader r(payload);
+    util::codec::ByteReader r(payload);
     ServiceState state;
     std::string aggregates_payload;
-    if (!r.take_str32(&aggregates_payload)) return r.truncated();
+    if (!r.take_str32(aggregates_payload)) return truncated(r);
     auto aggregates = ServiceAggregates::decode(aggregates_payload);
     if (!aggregates) {
         return std::move(aggregates).context("service checkpoint").error();
@@ -184,37 +125,37 @@ util::Result<ServiceState> decode_state(std::string_view payload) {
     state.aggregates = std::move(aggregates).value();
 
     std::uint32_t n = 0;
-    if (!r.take(&n)) return r.truncated();
+    if (!r.take(n)) return truncated(r);
     state.ledger.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         ProcessedFile entry;
-        if (!r.take_str32(&entry.name) || !r.take(&entry.size) ||
-            !r.take(&entry.crc) || !r.take(&entry.records) ||
-            !r.take(&entry.batches) || !r.take(&entry.shed_batches) ||
-            !r.take_str32(&entry.status)) {
-            return r.truncated();
+        if (!r.take_str32(entry.name) || !r.take(entry.size) ||
+            !r.take(entry.crc) || !r.take(entry.records) ||
+            !r.take(entry.batches) || !r.take(entry.shed_batches) ||
+            !r.take_str32(entry.status)) {
+            return truncated(r);
         }
         state.ledger.push_back(std::move(entry));
     }
-    if (!r.take(&n)) return r.truncated();
+    if (!r.take(n)) return truncated(r);
     state.shed_log.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         ShedRecord shed;
-        if (!r.take_str32(&shed.file) || !r.take(&shed.batch) ||
-            !r.take(&shed.records)) {
-            return r.truncated();
+        if (!r.take_str32(shed.file) || !r.take(shed.batch) ||
+            !r.take(shed.records)) {
+            return truncated(r);
         }
         state.shed_log.push_back(std::move(shed));
     }
-    if (!r.take(&n)) return r.truncated();
+    if (!r.take(n)) return truncated(r);
     state.mutations.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         std::string mutation;
-        if (!r.take_str32(&mutation)) return r.truncated();
+        if (!r.take_str32(mutation)) return truncated(r);
         state.mutations.push_back(std::move(mutation));
     }
-    if (!r.take(&state.files_ingested) || !r.take(&state.records_ingested)) {
-        return r.truncated();
+    if (!r.take(state.files_ingested) || !r.take(state.records_ingested)) {
+        return truncated(r);
     }
     if (!r.done()) {
         return Error(ErrorCode::CountMismatch,
@@ -232,13 +173,13 @@ std::string render_service_manifest(std::uint64_t fingerprint,
     std::ostringstream os;
     os << "# ytcdnd service manifest\n";
     os << "manifest_version 1\n";
-    os << "fingerprint " << hex(fingerprint, 16) << '\n';
+    os << "fingerprint " << util::hex(fingerprint) << '\n';
     os << "gap_s " << state.aggregates.gap() << '\n';
     os << "queue_capacity " << options.queue_capacity << '\n';
     os << "batch_records " << options.batch_records << '\n';
     for (const auto& entry : state.ledger) {
         os << "file " << entry.name << " size=" << entry.size << " crc="
-           << hex(entry.crc, 8) << " records=" << entry.records
+           << util::hex(entry.crc, 8) << " records=" << entry.records
            << " batches=" << entry.batches << " shed=" << entry.shed_batches
            << " status=" << entry.status << '\n';
     }
@@ -636,7 +577,7 @@ util::Result<ServiceReport> Service::run() {
                         if (!bytes) throw bytes.error();
                         out.size = bytes.value().size();
                         out.crc = util::crc32(bytes.value());
-                        auto records = read_spool_file(file.path);
+                        auto records = parse_spool_file(file.path, bytes.value());
                         if (!records) throw records.error();
                         out.records = std::move(records).value();
                     },

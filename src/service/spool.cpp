@@ -1,7 +1,6 @@
 #include "service/spool.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "capture/binary_log.hpp"
 #include "util/io.hpp"
@@ -71,16 +70,20 @@ util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     if (!bytes) {
         return std::move(bytes).context("spool " + path.string()).error();
     }
-    const std::string name = path.filename().string();
-    if (has_suffix(name, ".yfl")) {
-        std::istringstream is(std::move(bytes).value());
-        return capture::read_binary_log_result(is);
+    return parse_spool_file(path, bytes.value());
+}
+
+util::Result<std::vector<capture::FlowRecord>> parse_spool_file(
+    const std::filesystem::path& path, std::string_view bytes) {
+    if (has_suffix(path.filename().string(), ".yfl")) {
+        return capture::read_binary_log_bytes(bytes);
     }
     std::vector<capture::FlowRecord> records;
-    std::istringstream is(std::move(bytes).value());
-    std::string line;
     std::uint64_t line_no = 0;
-    while (std::getline(is, line)) {
+    for (std::size_t pos = 0; pos < bytes.size();) {
+        const std::size_t newline = std::min(bytes.find('\n', pos), bytes.size());
+        const std::string_view line = bytes.substr(pos, newline - pos);
+        pos = newline + 1;
         ++line_no;
         if (line.empty() || line.front() == '#') continue;
         auto record = capture::FlowRecord::from_tsv(line);

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "capture/flow_record.hpp"
@@ -39,6 +40,11 @@ struct SpoolFile {
 /// stream name is the file name up to the first '.'.
 [[nodiscard]] util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     const std::filesystem::path& path);
+/// The parse half of read_spool_file, over bytes the caller already read
+/// (the daemon reads each file once for its ledger size and CRC and parses
+/// those same bytes). `path` picks the format and names the file in errors.
+[[nodiscard]] util::Result<std::vector<capture::FlowRecord>> parse_spool_file(
+    const std::filesystem::path& path, std::string_view bytes);
 
 /// "eu1-0003.yfl" -> "eu1-0003" -> stream key "eu1" when the name has a
 /// '-<digits>' sequence suffix, else the whole stem: one logical stream

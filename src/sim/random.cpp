@@ -4,13 +4,6 @@
 
 namespace ytcdn::sim {
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
 std::uint64_t hash_string(std::string_view s) noexcept {
     std::uint64_t h = 0xCBF29CE484222325ull;
     for (const char c : s) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "util/bits.hpp"
+
 namespace ytcdn::sim {
 
 /// The project-wide random number generator.
@@ -60,7 +62,9 @@ private:
 
 /// SplitMix64 finalizer, exposed for deterministic hash-derived values
 /// (per-path inflation, server assignment, ...).
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+    return util::splitmix64(x);
+}
 
 /// FNV-1a hash of a string, for stable tag-based seeding.
 [[nodiscard]] std::uint64_t hash_string(std::string_view s) noexcept;

@@ -1,18 +1,17 @@
 #include "sim/tracer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "util/atomic_file.hpp"
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
-#include "util/io.hpp"
 
 namespace ytcdn::sim {
 
@@ -31,9 +30,6 @@ constexpr std::uint64_t kBlockEvents = 1024;
 /// table length is an attack on the reader, not a trace.
 constexpr std::uint64_t kMaxStringBytes = 1u << 28;
 
-static_assert(std::endian::native == std::endian::little,
-              "trace log assumes a little-endian host");
-
 constexpr std::string_view kTypeNames[kNumTraceEventTypes] = {
     "session-start", "session-end", "dns-query",    "dns-cache-hit",
     "dns-answer",    "dns-servfail", "dc-selected",  "redirect",
@@ -41,20 +37,8 @@ constexpr std::string_view kTypeNames[kNumTraceEventTypes] = {
     "resume",        "fault",        "guard",
 };
 
-template <typename T>
-void put(std::string& buf, T value) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof(T));
-    std::memcpy(buf.data() + old, &value, sizeof(T));
-}
-
-template <typename T>
-T take(const char*& p) {
-    T value;
-    std::memcpy(&value, p, sizeof(T));
-    p += sizeof(T);
-    return value;
-}
+using util::codec::load;
+using util::codec::put;
 
 void put_event(std::string& buf, const TraceEvent& e) {
     put<double>(buf, e.time);
@@ -72,15 +56,15 @@ void put_event(std::string& buf, const TraceEvent& e) {
 util::Result<TraceEvent> parse_event(const char* p, std::uint64_t index,
                                      std::uint64_t offset) {
     TraceEvent e;
-    e.time = take<double>(p);
-    e.seq = take<std::uint64_t>(p);
-    e.session = take<std::uint64_t>(p);
-    e.a = take<std::int64_t>(p);
-    e.b = take<std::int64_t>(p);
-    e.x = take<double>(p);
-    const auto type = take<std::uint8_t>(p);
-    e.vp = take<std::uint8_t>(p);
-    e.code = take<std::uint16_t>(p);
+    e.time = load<double>(p);
+    e.seq = load<std::uint64_t>(p + 8);
+    e.session = load<std::uint64_t>(p + 16);
+    e.a = load<std::int64_t>(p + 24);
+    e.b = load<std::int64_t>(p + 32);
+    e.x = load<double>(p + 40);
+    const auto type = load<std::uint8_t>(p + 48);
+    e.vp = load<std::uint8_t>(p + 49);
+    e.code = load<std::uint16_t>(p + 50);
     if (!std::isfinite(e.time)) {
         return error_at_record(ErrorCode::BadField, "non-finite event time",
                                index, offset);
@@ -218,10 +202,7 @@ std::string write_trace_bytes(const TraceLog& log) {
     put<std::uint32_t>(out, util::crc32(out));
 
     std::string strings;
-    for (const std::string& s : log.strings) {
-        put<std::uint32_t>(strings, static_cast<std::uint32_t>(s.size()));
-        strings += s;
-    }
+    for (const std::string& s : log.strings) util::codec::put_str32(strings, s);
     put<std::uint32_t>(out, static_cast<std::uint32_t>(log.strings.size()));
     put<std::uint32_t>(out, static_cast<std::uint32_t>(strings.size()));
     put<std::uint32_t>(out, util::crc32(strings));
@@ -252,7 +233,39 @@ util::Result<void> write_trace_file(const std::filesystem::path& path,
     return util::atomic_write_file(path, write_trace_bytes(log));
 }
 
-util::Result<TraceLog> read_trace_bytes(std::string_view data) {
+namespace {
+
+/// Where and how a YTR1 stream broke off before its trailer validated.
+/// The strict reader reports a tear as corruption; salvage keeps what came
+/// before it.
+struct Tear {
+    enum class Kind {
+        PartialBlockHeader,  // fewer than 8 bytes where a block header belongs
+        BadBlockCount,       // block header count is 0, > 1024 or past the total
+        PartialBlock,        // the stream ends inside a block's payload
+        MissingTrailer,      // every block arrived; the trailer did not
+        TrailingBytes,       // more than a trailer follows the last block
+    };
+    Kind kind;
+    std::uint64_t offset;     // where the torn frame starts
+    std::uint32_t block = 0;  // the block's declared event count
+};
+
+struct TraceWalk {
+    TraceLog log;
+    std::uint64_t declared = 0;  // the header's event count
+    std::optional<Tear> tear;    // nullopt: the trailer validated
+};
+
+/// Rejects a header event count before any size arithmetic uses it.
+using CountCheck = util::Result<void> (*)(std::uint64_t count,
+                                          std::size_t stream_size);
+
+/// The one YTR1 walk: header, string table, event blocks, trailer. Damage
+/// a tear cannot explain (bad magic or version, a CRC mismatch on a
+/// complete frame, an invalid event) is a typed error; a stream that stops
+/// early comes back with the events of every complete block and a Tear.
+util::Result<TraceWalk> walk_trace(std::string_view data, CountCheck check_count) {
     if (data.size() < kHeaderSize) {
         return Error(ErrorCode::Truncated, "truncated trace header (" +
                                                std::to_string(data.size()) +
@@ -261,12 +274,10 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
     if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
         return Error(ErrorCode::BadMagic, "not a YTR1 trace stream");
     }
-    const char* p = data.data() + sizeof(kMagic);
-    const auto version = take<std::uint32_t>(p);
-    const auto count = take<std::uint64_t>(p);
-    const std::uint32_t header_crc =
-        util::crc32(data.substr(0, kHeaderSize - 4));
-    if (take<std::uint32_t>(p) != header_crc) {
+    const auto version = load<std::uint32_t>(data.data() + 4);
+    const auto count = load<std::uint64_t>(data.data() + 8);
+    if (load<std::uint32_t>(data.data() + 16) !=
+        util::crc32(data.substr(0, kHeaderSize - 4))) {
         return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
                              kHeaderSize - 4);
     }
@@ -275,23 +286,16 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
                      "trace version " + std::to_string(version) +
                          " (reader supports " + std::to_string(kVersion) + ")");
     }
-    // Overflow-safe count sanity before any size arithmetic with it.
-    if (count > data.size() / kRecordSize) {
-        return Error(ErrorCode::CountMismatch,
-                     "declared " + std::to_string(count) +
-                         " events, stream holds " + std::to_string(data.size()) +
-                         " bytes");
-    }
+    if (auto sane = check_count(count, data.size()); !sane) return sane.error();
 
     std::size_t offset = kHeaderSize;
     if (data.size() - offset < kStringsHeaderSize) {
         return error_at_byte(ErrorCode::Truncated, "truncated string table",
                              offset);
     }
-    p = data.data() + offset;
-    const auto string_count = take<std::uint32_t>(p);
-    const auto string_bytes = take<std::uint32_t>(p);
-    const auto string_crc = take<std::uint32_t>(p);
+    const auto string_count = load<std::uint32_t>(data.data() + offset);
+    const auto string_bytes = load<std::uint32_t>(data.data() + offset + 4);
+    const auto string_crc = load<std::uint32_t>(data.data() + offset + 8);
     offset += kStringsHeaderSize;
     if (string_bytes > kMaxStringBytes ||
         string_bytes > data.size() - offset ||
@@ -304,54 +308,49 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
         return error_at_byte(ErrorCode::ChecksumMismatch,
                              "string table CRC mismatch", offset);
     }
-    TraceLog log;
-    log.strings.reserve(string_count);
-    {
-        const char* sp = strings_payload.data();
-        const char* const end = sp + strings_payload.size();
-        for (std::uint32_t i = 0; i < string_count; ++i) {
-            if (end - sp < 4) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "truncated string entry",
-                                     offset + static_cast<std::uint64_t>(
-                                                  sp - strings_payload.data()));
-            }
-            const auto len = take<std::uint32_t>(sp);
-            if (static_cast<std::uint64_t>(end - sp) < len) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "string length exceeds table",
-                                     offset + static_cast<std::uint64_t>(
-                                                  sp - strings_payload.data()));
-            }
-            log.strings.emplace_back(sp, len);
-            sp += len;
+    TraceWalk walk;
+    walk.declared = count;
+    walk.log.strings.reserve(string_count);
+    util::codec::ByteReader strings(strings_payload);
+    for (std::uint32_t i = 0; i < string_count; ++i) {
+        std::uint32_t len = 0;
+        if (!strings.take(len)) {
+            return error_at_byte(ErrorCode::Truncated, "truncated string entry",
+                                 offset + strings.offset());
         }
-        if (sp != end) {
-            return error_at_byte(ErrorCode::CountMismatch,
-                                 "string table has trailing bytes", offset);
+        std::string_view s;
+        if (!strings.take_view(s, len)) {
+            return error_at_byte(ErrorCode::Truncated,
+                                 "string length exceeds table",
+                                 offset + strings.offset());
         }
+        walk.log.strings.emplace_back(s);
+    }
+    if (!strings.done()) {
+        return error_at_byte(ErrorCode::CountMismatch,
+                             "string table has trailing bytes", offset);
     }
     offset += string_bytes;
 
-    log.events.reserve(count);
+    const auto torn = [&walk](Tear::Kind kind, std::uint64_t at,
+                              std::uint32_t block = 0) {
+        walk.tear = Tear{kind, at, block};
+        return std::move(walk);
+    };
+    walk.log.events.reserve(std::min<std::uint64_t>(count, data.size() / kRecordSize));
     std::uint64_t parsed = 0;
     while (parsed < count) {
         if (data.size() - offset < kBlockHeaderSize) {
-            return error_at_byte(ErrorCode::Truncated, "truncated block header",
-                                 offset);
+            return torn(Tear::Kind::PartialBlockHeader, offset);
         }
-        p = data.data() + offset;
-        const auto n = take<std::uint32_t>(p);
-        const auto block_crc = take<std::uint32_t>(p);
+        const auto n = load<std::uint32_t>(data.data() + offset);
+        const auto block_crc = load<std::uint32_t>(data.data() + offset + 4);
         if (n == 0 || n > kBlockEvents || n > count - parsed) {
-            return error_at_byte(ErrorCode::CountMismatch,
-                                 "bad block event count " + std::to_string(n),
-                                 offset);
+            return torn(Tear::Kind::BadBlockCount, offset, n);
         }
         const std::size_t payload_size = n * kRecordSize;
         if (data.size() - offset - kBlockHeaderSize < payload_size) {
-            return error_at_byte(ErrorCode::Truncated, "truncated event block",
-                                 offset);
+            return torn(Tear::Kind::PartialBlock, offset, n);
         }
         const std::string_view payload =
             data.substr(offset + kBlockHeaderSize, payload_size);
@@ -370,215 +369,117 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
                  event.value().type == TraceEventType::Guard) &&
                 (event.value().b < 0 ||
                  static_cast<std::uint64_t>(event.value().b) >=
-                     log.strings.size())) {
+                     walk.log.strings.size())) {
                 return error_at_record(ErrorCode::BadField,
                                        "fault target index out of range",
                                        parsed + i, offset);
             }
-            log.events.push_back(event.value());
-        }
-        parsed += n;
-        offset += kBlockHeaderSize + payload_size;
-    }
-
-    if (data.size() - offset != kTrailerSize) {
-        return error_at_byte(
-            ErrorCode::Truncated,
-            data.size() - offset < kTrailerSize ? "truncated trailer"
-                                                : "trailing bytes after trailer",
-            offset);
-    }
-    if (std::memcmp(data.data() + offset, kTrailerMagic, sizeof(kTrailerMagic)) !=
-        0) {
-        return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", offset);
-    }
-    p = data.data() + offset + sizeof(kTrailerMagic);
-    const auto trailer_count = take<std::uint64_t>(p);
-    const std::uint32_t trailer_crc =
-        util::crc32(data.substr(offset, kTrailerSize - 4));
-    if (take<std::uint32_t>(p) != trailer_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "trailer CRC mismatch",
-                             offset + kTrailerSize - 4);
-    }
-    if (trailer_count != count) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "trailer/header event count mismatch", offset);
-    }
-    return log;
-}
-
-util::Result<TraceLog> read_trace_file(const std::filesystem::path& path) {
-    auto data = util::io::read_file(path);
-    if (!data) {
-        return std::move(data).context("trace " + path.string()).error();
-    }
-    return read_trace_bytes(std::move(data).value())
-        .context("trace " + path.string());
-}
-
-util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
-    // Header and string table: strict, same checks as read_trace_bytes —
-    // except the count-vs-stream-size sanity check, which a torn tail
-    // legitimately violates (the header promises events the tail lost).
-    if (data.size() < kHeaderSize) {
-        return Error(ErrorCode::Truncated, "truncated trace header (" +
-                                               std::to_string(data.size()) +
-                                               " bytes)");
-    }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-        return Error(ErrorCode::BadMagic, "not a YTR1 trace stream");
-    }
-    const char* p = data.data() + sizeof(kMagic);
-    const auto version = take<std::uint32_t>(p);
-    const auto count = take<std::uint64_t>(p);
-    if (take<std::uint32_t>(p) != util::crc32(data.substr(0, kHeaderSize - 4))) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSize - 4);
-    }
-    if (version != kVersion) {
-        return Error(ErrorCode::UnsupportedVersion,
-                     "trace version " + std::to_string(version) +
-                         " (reader supports " + std::to_string(kVersion) + ")");
-    }
-    // A tear removes tail bytes; it cannot inflate the header's count. An
-    // absurd count (the CRC-valid overflow fixture) is corruption.
-    if (count > (std::uint64_t{1} << 40)) {
-        return Error(ErrorCode::CountMismatch,
-                     "declared event count " + std::to_string(count) +
-                         " is implausible");
-    }
-
-    std::size_t offset = kHeaderSize;
-    if (data.size() - offset < kStringsHeaderSize) {
-        return error_at_byte(ErrorCode::Truncated, "truncated string table",
-                             offset);
-    }
-    p = data.data() + offset;
-    const auto string_count = take<std::uint32_t>(p);
-    const auto string_bytes = take<std::uint32_t>(p);
-    const auto string_crc = take<std::uint32_t>(p);
-    offset += kStringsHeaderSize;
-    if (string_bytes > kMaxStringBytes ||
-        string_bytes > data.size() - offset ||
-        static_cast<std::uint64_t>(string_count) * 4 > string_bytes) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "string table length inconsistent", offset);
-    }
-    const std::string_view strings_payload = data.substr(offset, string_bytes);
-    if (util::crc32(strings_payload) != string_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch,
-                             "string table CRC mismatch", offset);
-    }
-    TraceSalvage out;
-    out.declared_events = count;
-    out.log.strings.reserve(string_count);
-    {
-        const char* sp = strings_payload.data();
-        const char* const end = sp + strings_payload.size();
-        for (std::uint32_t i = 0; i < string_count; ++i) {
-            if (end - sp < 4) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "truncated string entry", offset);
-            }
-            const auto len = take<std::uint32_t>(sp);
-            if (static_cast<std::uint64_t>(end - sp) < len) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "string length exceeds table", offset);
-            }
-            out.log.strings.emplace_back(sp, len);
-            sp += len;
-        }
-        if (sp != end) {
-            return error_at_byte(ErrorCode::CountMismatch,
-                                 "string table has trailing bytes", offset);
-        }
-    }
-    offset += string_bytes;
-
-    // Event blocks: keep every block whose CRC verifies; stop at the tear.
-    const auto torn = [&](std::string note) {
-        out.complete = false;
-        out.note = std::move(note);
-        return out;
-    };
-    std::uint64_t parsed = 0;
-    while (parsed < count) {
-        if (data.size() - offset < kBlockHeaderSize) {
-            return torn("tail torn at byte " + std::to_string(offset) +
-                        ": partial block header");
-        }
-        p = data.data() + offset;
-        const auto n = take<std::uint32_t>(p);
-        const auto block_crc = take<std::uint32_t>(p);
-        if (n == 0 || n > kBlockEvents || n > count - parsed) {
-            return torn("tail torn at byte " + std::to_string(offset) +
-                        ": implausible block count " + std::to_string(n));
-        }
-        const std::size_t payload_size = n * kRecordSize;
-        if (data.size() - offset - kBlockHeaderSize < payload_size) {
-            return torn("tail torn at byte " + std::to_string(offset) +
-                        ": block holds " + std::to_string(n) +
-                        " events but the stream ends first");
-        }
-        const std::string_view payload =
-            data.substr(offset + kBlockHeaderSize, payload_size);
-        if (util::crc32(payload) != block_crc) {
-            return error_at_byte(ErrorCode::ChecksumMismatch,
-                                 "event block CRC mismatch", offset);
-        }
-        for (std::uint32_t i = 0; i < n; ++i) {
-            auto event = parse_event(payload.data() + i * kRecordSize,
-                                     parsed + i,
-                                     offset + kBlockHeaderSize + i * kRecordSize);
-            if (!event) return std::move(event).error();
-            if ((event.value().type == TraceEventType::Fault ||
-                 event.value().type == TraceEventType::Guard) &&
-                (event.value().b < 0 ||
-                 static_cast<std::uint64_t>(event.value().b) >=
-                     out.log.strings.size())) {
-                return error_at_record(ErrorCode::BadField,
-                                       "fault target index out of range",
-                                       parsed + i, offset);
-            }
-            out.log.events.push_back(event.value());
+            walk.log.events.push_back(event.value());
         }
         parsed += n;
         offset += kBlockHeaderSize + payload_size;
     }
 
     if (data.size() - offset < kTrailerSize) {
-        return torn("tail torn at byte " + std::to_string(offset) +
-                    ": trailer missing");
+        return torn(Tear::Kind::MissingTrailer, offset);
     }
-    // Every event arrived; a full-size but invalid trailer is corruption.
-    if (data.size() - offset != kTrailerSize ||
-        std::memcmp(data.data() + offset, kTrailerMagic, sizeof(kTrailerMagic)) !=
-            0) {
+    if (data.size() - offset > kTrailerSize) {
+        return torn(Tear::Kind::TrailingBytes, offset);
+    }
+    const char* trailer = data.data() + offset;
+    if (std::memcmp(trailer, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
         return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", offset);
     }
-    p = data.data() + offset + sizeof(kTrailerMagic);
-    const auto trailer_count = take<std::uint64_t>(p);
-    if (take<std::uint32_t>(p) !=
+    if (load<std::uint32_t>(trailer + kTrailerSize - 4) !=
         util::crc32(data.substr(offset, kTrailerSize - 4))) {
         return error_at_byte(ErrorCode::ChecksumMismatch, "trailer CRC mismatch",
                              offset + kTrailerSize - 4);
     }
-    if (trailer_count != count) {
+    if (load<std::uint64_t>(trailer + sizeof(kTrailerMagic)) != count) {
         return error_at_byte(ErrorCode::CountMismatch,
                              "trailer/header event count mismatch", offset);
     }
-    out.complete = true;
-    return out;
+    return walk;
 }
 
-util::Result<TraceSalvage> salvage_trace_file(
-    const std::filesystem::path& path) {
-    auto data = util::io::read_file(path);
-    if (!data) {
-        return std::move(data).context("trace " + path.string()).error();
+/// A strict read needs every declared event in the stream.
+util::Result<void> fits_stream(std::uint64_t count, std::size_t stream_size) {
+    if (count <= stream_size / kRecordSize) return {};
+    return Error(ErrorCode::CountMismatch,
+                 "declared " + std::to_string(count) + " events, stream holds " +
+                     std::to_string(stream_size) + " bytes");
+}
+
+/// A tear removes tail bytes; it cannot inflate the header's count. An
+/// absurd count (the CRC-valid overflow fixture) is corruption.
+util::Result<void> plausible(std::uint64_t count, std::size_t) {
+    if (count <= (std::uint64_t{1} << 40)) return {};
+    return Error(ErrorCode::CountMismatch, "declared event count " +
+                                               std::to_string(count) +
+                                               " is implausible");
+}
+
+}  // namespace
+
+util::Result<TraceLog> read_trace_bytes(std::string_view data) {
+    auto walk = walk_trace(data, fits_stream);
+    if (!walk) return walk.error();
+    const auto& tear = walk.value().tear;
+    if (!tear) return std::move(walk.value().log);
+    switch (tear->kind) {
+        case Tear::Kind::PartialBlockHeader:
+            return error_at_byte(ErrorCode::Truncated, "truncated block header",
+                                 tear->offset);
+        case Tear::Kind::BadBlockCount:
+            return error_at_byte(ErrorCode::CountMismatch,
+                                 "bad block event count " +
+                                     std::to_string(tear->block),
+                                 tear->offset);
+        case Tear::Kind::PartialBlock:
+            return error_at_byte(ErrorCode::Truncated, "truncated event block",
+                                 tear->offset);
+        case Tear::Kind::MissingTrailer:
+            return error_at_byte(ErrorCode::Truncated, "truncated trailer",
+                                 tear->offset);
+        case Tear::Kind::TrailingBytes:
+            break;
     }
-    return salvage_trace_bytes(std::move(data).value())
-        .context("trace " + path.string());
+    return error_at_byte(ErrorCode::Truncated, "trailing bytes after trailer",
+                         tear->offset);
+}
+
+util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
+    auto walk = walk_trace(data, plausible);
+    if (!walk) return walk.error();
+    TraceSalvage out;
+    out.log = std::move(walk.value().log);
+    out.declared_events = walk.value().declared;
+    const auto& tear = walk.value().tear;
+    if (!tear) {
+        out.complete = true;
+        return out;
+    }
+    const std::string at = "tail torn at byte " + std::to_string(tear->offset);
+    switch (tear->kind) {
+        case Tear::Kind::PartialBlockHeader:
+            out.note = at + ": partial block header";
+            break;
+        case Tear::Kind::BadBlockCount:
+            out.note = at + ": implausible block count " + std::to_string(tear->block);
+            break;
+        case Tear::Kind::PartialBlock:
+            out.note = at + ": block holds " + std::to_string(tear->block) +
+                       " events but the stream ends first";
+            break;
+        case Tear::Kind::MissingTrailer:
+            out.note = at + ": trailer missing";
+            break;
+        case Tear::Kind::TrailingBytes:
+            // Every event arrived; an oversized trailer is corruption.
+            return error_at_byte(ErrorCode::BadMagic, "bad trailer magic",
+                                 tear->offset);
+    }
+    return out;
 }
 
 std::string render_trace_jsonl(const TraceLog& log) {

@@ -174,16 +174,16 @@ private:
 /// UnsupportedVersion, Truncated, ChecksumMismatch, CountMismatch,
 /// BadField) with byte provenance — exit code 4 at the CLI boundary.
 [[nodiscard]] util::Result<TraceLog> read_trace_bytes(std::string_view data);
-[[nodiscard]] util::Result<TraceLog> read_trace_file(
-    const std::filesystem::path& path);
 
 /// Partial recovery of a torn YTR1 stream — a writer killed mid-append
 /// leaves a valid prefix that a strict read rejects as Truncated. Salvage
-/// keeps the header and string table strict (damage there is corruption,
-/// not tearing) and parses event blocks until the tail runs out: a torn
-/// final block or missing trailer ends the salvage with every fully
-/// CRC-verified block kept. A CRC mismatch on a complete block is still a
-/// hard error — bit rot must never be dressed up as a tear.
+/// walks the stream exactly as read_trace_bytes does (one walker serves
+/// both) and differs only at the end: a torn final block or missing
+/// trailer ends the salvage with every fully CRC-verified block kept, and
+/// the header's event count need only be plausible, not fit the stream.
+/// Damage to the header or string table and a CRC mismatch on a complete
+/// block are still hard errors — bit rot must never be dressed up as a
+/// tear.
 struct TraceSalvage {
     TraceLog log;
     std::uint64_t declared_events = 0;  // the header's promise
@@ -193,8 +193,6 @@ struct TraceSalvage {
 
 [[nodiscard]] util::Result<TraceSalvage> salvage_trace_bytes(
     std::string_view data);
-[[nodiscard]] util::Result<TraceSalvage> salvage_trace_file(
-    const std::filesystem::path& path);
 
 /// One JSON object per event, in order; Fault events carry their resolved
 /// "target" string. Deterministic formatting (%.17g doubles).

@@ -1,9 +1,9 @@
 #include "study/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -19,77 +19,14 @@ constexpr std::string_view kStageNames[kNumStageIds] = {
     "simulate", "capture", "geolocate", "analyze", "render", "service",
 };
 
-template <typename T>
-void put(std::string& buf, T value) {
-    char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    buf.append(raw, sizeof(T));
+using util::codec::put;
+using util::codec::put_str32;
+
+Error truncated(const util::codec::ByteReader& r, std::string_view what) {
+    return Error(ErrorCode::Truncated, std::string(what) +
+                                           " truncated at payload byte " +
+                                           std::to_string(r.offset()));
 }
-
-void put_str32(std::string& buf, std::string_view s) {
-    put(buf, static_cast<std::uint32_t>(s.size()));
-    buf.append(s);
-}
-
-void put_f64(std::string& buf, double value) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    put(buf, bits);
-}
-
-/// Sequential reader over a payload; every take reports truncation by
-/// returning false, and `error()` renders the byte offset it stopped at.
-class Reader {
-public:
-    explicit Reader(std::string_view data) : data_(data) {}
-
-    template <typename T>
-    bool take(T* out) {
-        if (data_.size() - off_ < sizeof(T)) return false;
-        std::memcpy(out, data_.data() + off_, sizeof(T));
-        off_ += sizeof(T);
-        return true;
-    }
-
-    bool take_f64(double* out) {
-        std::uint64_t bits = 0;
-        if (!take(&bits)) return false;
-        std::memcpy(out, &bits, sizeof(bits));
-        return true;
-    }
-
-    bool take_str32(std::string* out) {
-        std::uint32_t n = 0;
-        if (!take(&n)) return false;
-        return take_bytes(out, n);
-    }
-
-    /// Length validated against the remaining payload BEFORE allocating, so
-    /// a corrupt multi-gigabyte declared length is a clean Truncated error,
-    /// not an allocation attack.
-    bool take_bytes(std::string* out, std::uint64_t n) {
-        if (data_.size() - off_ < n) return false;
-        out->assign(data_.substr(off_, static_cast<std::size_t>(n)));
-        off_ += static_cast<std::size_t>(n);
-        return true;
-    }
-
-    [[nodiscard]] bool done() const noexcept { return off_ == data_.size(); }
-
-    [[nodiscard]] std::size_t remaining() const noexcept {
-        return data_.size() - off_;
-    }
-
-    [[nodiscard]] Error truncated(std::string_view what) const {
-        return Error(ErrorCode::Truncated, std::string(what) +
-                                               " truncated at payload byte " +
-                                               std::to_string(off_));
-    }
-
-private:
-    std::string_view data_;
-    std::size_t off_ = 0;
-};
 
 }  // namespace
 
@@ -138,13 +75,13 @@ util::Result<std::string> load_checkpoint(const std::filesystem::path& path,
     if (data.compare(0, kMagic.size(), kMagic) != 0) {
         return fail(ErrorCode::BadMagic, "bad magic (want YCK1)");
     }
-    Reader r(std::string_view(data).substr(kMagic.size()));
+    util::codec::ByteReader r(std::string_view(data).substr(kMagic.size()));
     std::uint32_t version = 0;
     std::uint64_t fp = 0;
     std::uint32_t stage_id = 0;
     std::uint64_t payload_size = 0;
-    if (!r.take(&version) || !r.take(&fp) || !r.take(&stage_id) ||
-        !r.take(&payload_size)) {
+    if (!r.take(version) || !r.take(fp) || !r.take(stage_id) ||
+        !r.take(payload_size)) {
         return fail(ErrorCode::Truncated, "header truncated");
     }
     if (version != kCheckpointVersion) {
@@ -165,8 +102,8 @@ util::Result<std::string> load_checkpoint(const std::filesystem::path& path,
         return fail(ErrorCode::Truncated,
                     "payload size disagrees with file size");
     }
-    std::uint32_t crc = 0;
-    std::memcpy(&crc, data.data() + data.size() - kTrailerSize, sizeof(crc));
+    const auto crc = util::codec::load<std::uint32_t>(data.data() + data.size() -
+                                                      kTrailerSize);
     if (util::crc32(std::string_view(data).substr(
             0, data.size() - kTrailerSize)) != crc) {
         return fail(ErrorCode::ChecksumMismatch, "trailer CRC mismatch");
@@ -210,9 +147,9 @@ std::string encode_capture(const std::vector<CaptureEntry>& entries) {
 
 util::Result<std::vector<CaptureEntry>> decode_capture(
     std::string_view payload) {
-    Reader r(payload);
+    util::codec::ByteReader r(payload);
     std::uint32_t n = 0;
-    if (!r.take(&n)) return r.truncated("capture entry count");
+    if (!r.take(n)) return truncated(r, "capture entry count");
     // Each entry needs at least name length + size + crc (16 bytes).
     if (n > r.remaining() / 16) {
         return Error(ErrorCode::CountMismatch,
@@ -223,8 +160,8 @@ util::Result<std::vector<CaptureEntry>> decode_capture(
     out.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         CaptureEntry e;
-        if (!r.take_str32(&e.name) || !r.take(&e.size) || !r.take(&e.crc)) {
-            return r.truncated("capture entry");
+        if (!r.take_str32(e.name) || !r.take(e.size) || !r.take(e.crc)) {
+            return truncated(r, "capture entry");
         }
         out.push_back(std::move(e));
     }
@@ -244,11 +181,11 @@ std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,
         put(buf, static_cast<std::uint32_t>(map.num_data_centers()));
         for (const auto& dc : map.data_centers()) {
             put_str32(buf, dc.name);
-            put_f64(buf, dc.location.lat_deg);
-            put_f64(buf, dc.location.lon_deg);
+            put(buf, dc.location.lat_deg);
+            put(buf, dc.location.lon_deg);
             put(buf, static_cast<std::uint8_t>(dc.continent));
-            put_f64(buf, dc.rtt_ms);
-            put_f64(buf, dc.distance_km);
+            put(buf, dc.rtt_ms);
+            put(buf, dc.distance_km);
         }
         // Hash-map iteration order is not deterministic; sort by /24 so the
         // payload bytes are a pure function of the map's contents.
@@ -271,9 +208,9 @@ std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,
 util::Result<void> decode_geolocate(std::string_view payload,
                                     std::vector<analysis::ServerDcMap>* maps,
                                     std::vector<int>* preferred) {
-    Reader r(payload);
+    util::codec::ByteReader r(payload);
     std::uint32_t n_vps = 0;
-    if (!r.take(&n_vps)) return r.truncated("vantage-point count");
+    if (!r.take(n_vps)) return truncated(r, "vantage-point count");
     // Each vantage point needs at least its three counts (12 bytes); a
     // hostile declared count must fail cleanly, not balloon the vectors.
     if (n_vps > r.remaining() / 12) {
@@ -288,14 +225,14 @@ util::Result<void> decode_geolocate(std::string_view payload,
     for (std::uint32_t v = 0; v < n_vps; ++v) {
         analysis::ServerDcMap map;
         std::uint32_t n_dcs = 0;
-        if (!r.take(&n_dcs)) return r.truncated("data-center count");
+        if (!r.take(n_dcs)) return truncated(r, "data-center count");
         for (std::uint32_t d = 0; d < n_dcs; ++d) {
             analysis::DataCenterInfo dc;
             std::uint8_t continent = 0;
-            if (!r.take_str32(&dc.name) || !r.take_f64(&dc.location.lat_deg) ||
-                !r.take_f64(&dc.location.lon_deg) || !r.take(&continent) ||
-                !r.take_f64(&dc.rtt_ms) || !r.take_f64(&dc.distance_km)) {
-                return r.truncated("data-center record");
+            if (!r.take_str32(dc.name) || !r.take(dc.location.lat_deg) ||
+                !r.take(dc.location.lon_deg) || !r.take(continent) ||
+                !r.take(dc.rtt_ms) || !r.take(dc.distance_km)) {
+                return truncated(r, "data-center record");
             }
             if (continent > static_cast<std::uint8_t>(geo::Continent::Africa)) {
                 return Error(ErrorCode::BadField,
@@ -305,11 +242,11 @@ util::Result<void> decode_geolocate(std::string_view payload,
             map.add_data_center(std::move(dc));
         }
         std::uint32_t n_assign = 0;
-        if (!r.take(&n_assign)) return r.truncated("assignment count");
+        if (!r.take(n_assign)) return truncated(r, "assignment count");
         for (std::uint32_t a = 0; a < n_assign; ++a) {
             std::uint32_t ip = 0;
             std::int32_t dc = 0;
-            if (!r.take(&ip) || !r.take(&dc)) return r.truncated("assignment");
+            if (!r.take(ip) || !r.take(dc)) return truncated(r, "assignment");
             if (dc < 0 || static_cast<std::uint32_t>(dc) >= n_dcs) {
                 return Error(ErrorCode::BadField,
                              "assignment references data center " +
@@ -319,7 +256,7 @@ util::Result<void> decode_geolocate(std::string_view payload,
             map.assign(net::IpAddress(ip), dc);
         }
         std::int32_t pref = 0;
-        if (!r.take(&pref)) return r.truncated("preferred index");
+        if (!r.take(pref)) return truncated(r, "preferred index");
         if (pref < -1 || (pref >= 0 && static_cast<std::uint32_t>(pref) >= n_dcs)) {
             return Error(ErrorCode::BadField,
                          "preferred index out of range: " + std::to_string(pref));
@@ -348,10 +285,10 @@ std::string encode_report(const FullReport& report) {
 }
 
 util::Result<FullReport> decode_report(std::string_view payload) {
-    Reader r(payload);
+    util::codec::ByteReader r(payload);
     FullReport report;
     std::uint32_t n = 0;
-    if (!r.take(&n)) return r.truncated("artifact count");
+    if (!r.take(n)) return truncated(r, "artifact count");
     // Each artifact needs at least name length + content length (12 bytes).
     if (n > r.remaining() / 12) {
         return Error(ErrorCode::CountMismatch,
@@ -362,16 +299,16 @@ util::Result<FullReport> decode_report(std::string_view payload) {
     for (std::uint32_t i = 0; i < n; ++i) {
         ReportArtifact a;
         std::uint64_t content_size = 0;
-        if (!r.take_str32(&a.name) || !r.take(&content_size)) {
-            return r.truncated("artifact header");
+        if (!r.take_str32(a.name) || !r.take(content_size)) {
+            return truncated(r, "artifact header");
         }
-        if (!r.take_bytes(&a.content, content_size)) {
-            return r.truncated("artifact content");
+        if (!r.take_bytes(a.content, content_size)) {
+            return truncated(r, "artifact content");
         }
         report.artifacts.push_back(std::move(a));
     }
     std::uint32_t n_degraded = 0;
-    if (!r.take(&n_degraded)) return r.truncated("degraded count");
+    if (!r.take(n_degraded)) return truncated(r, "degraded count");
     if (n_degraded > r.remaining() / 4) {  // at least a name length each
         return Error(ErrorCode::CountMismatch,
                      "degraded count " + std::to_string(n_degraded) +
@@ -380,7 +317,7 @@ util::Result<FullReport> decode_report(std::string_view payload) {
     report.degraded.reserve(n_degraded);
     for (std::uint32_t i = 0; i < n_degraded; ++i) {
         std::string name;
-        if (!r.take_str32(&name)) return r.truncated("degraded name");
+        if (!r.take_str32(name)) return truncated(r, "degraded name");
         report.degraded.push_back(std::move(name));
     }
     if (!r.done()) {

@@ -1,12 +1,13 @@
 #include "study/snapshot.hpp"
 
-#include <cstring>
+#include <bit>
 #include <sstream>
 #include <utility>
 
 #include "capture/binary_log.hpp"
 #include "sim/random.hpp"
 #include "util/atomic_file.hpp"
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -16,115 +17,72 @@ namespace {
 
 constexpr char kMagic[4] = {'Y', 'S', 'S', '2'};
 
-template <typename T>
-void put(std::ostream& os, T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
+using util::codec::put;
+using util::codec::put_str32;
+
+void put_u64s(std::string& buf, const std::vector<std::uint64_t>& v) {
+    put(buf, static_cast<std::uint32_t>(v.size()));
+    for (const std::uint64_t x : v) put(buf, x);
 }
 
-void put_string(std::ostream& os, const std::string& s) {
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-    os.write(s.data(), static_cast<std::streamsize>(s.size()));
+void put_stats(std::string& buf, const workload::Player::Stats& s) {
+    for (const std::uint64_t x :
+         {s.sessions, s.video_flows, s.control_flows, s.redirects_miss,
+          s.redirects_overload, s.resolution_probes, s.pauses, s.dns_cache_hits,
+          s.connect_timeouts, s.connect_resets, s.dns_servfails,
+          s.stale_dns_answers, s.failovers, s.failures.timeout,
+          s.failures.reset, s.failures.dns_failure,
+          s.failures.retries_exhausted, s.failures.redirect_exhausted}) {
+        put(buf, x);
+    }
+    put_u64s(buf, s.retry_histogram);
 }
 
-void put_u64s(std::ostream& os, const std::vector<std::uint64_t>& v) {
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(v.size()));
-    for (const std::uint64_t x : v) put(os, x);
+/// Running out of bytes while reading `field`: Truncated at the offset
+/// where the data ended.
+[[nodiscard]] Error truncated(const util::codec::ByteReader& r,
+                              std::string_view field) {
+    return error_at_byte(ErrorCode::Truncated,
+                         "snapshot truncated reading " + std::string(field),
+                         r.offset());
 }
 
-void put_stats(std::ostream& os, const workload::Player::Stats& s) {
-    put(os, s.sessions);
-    put(os, s.video_flows);
-    put(os, s.control_flows);
-    put(os, s.redirects_miss);
-    put(os, s.redirects_overload);
-    put(os, s.resolution_probes);
-    put(os, s.pauses);
-    put(os, s.dns_cache_hits);
-    put(os, s.connect_timeouts);
-    put(os, s.connect_resets);
-    put(os, s.dns_servfails);
-    put(os, s.stale_dns_answers);
-    put(os, s.failovers);
-    put(os, s.failures.timeout);
-    put(os, s.failures.reset);
-    put(os, s.failures.dns_failure);
-    put(os, s.failures.retries_exhausted);
-    put(os, s.failures.redirect_exhausted);
-    put_u64s(os, s.retry_histogram);
+[[nodiscard]] Error bad_field(const util::codec::ByteReader& r,
+                              std::string_view message) {
+    return error_at_byte(ErrorCode::BadField, message, r.offset());
 }
 
-/// Bounds-checked reader over the in-memory snapshot body. Every failure
-/// carries the byte offset where the data ran out or went bad.
-class Cursor {
-public:
-    explicit Cursor(std::string_view data) : data_(data) {}
-
-    [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-    [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
-
-    template <typename T>
-    [[nodiscard]] util::Result<void> get(T& value, std::string_view field) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (data_.size() - pos_ < sizeof(T)) return truncated(field);
-        std::memcpy(&value, data_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return {};
-    }
-
-    [[nodiscard]] util::Result<void> get_bytes(std::string& out, std::uint64_t n,
-                                               std::string_view field) {
-        if (data_.size() - pos_ < n) return truncated(field);
-        out.assign(data_.substr(pos_, static_cast<std::size_t>(n)));
-        pos_ += static_cast<std::size_t>(n);
-        return {};
-    }
-
-    [[nodiscard]] Error bad_field(std::string_view message) const {
-        return error_at_byte(ErrorCode::BadField, message, pos_);
-    }
-
-private:
-    [[nodiscard]] util::Result<void> truncated(std::string_view field) const {
-        return error_at_byte(ErrorCode::Truncated,
-                             "snapshot truncated reading " + std::string(field),
-                             pos_);
-    }
-
-    std::string_view data_;
-    std::size_t pos_ = 0;
-};
-
-[[nodiscard]] util::Result<void> get_string(Cursor& c, std::string& s,
+[[nodiscard]] util::Result<void> get_string(util::codec::ByteReader& r,
+                                            std::string& s,
                                             std::string_view field) {
     std::uint32_t n = 0;
-    if (auto r = c.get(n, field); !r) return r;
+    if (!r.take(n)) return truncated(r, field);
     if (n > (1u << 20)) {  // names are short
-        return c.bad_field("snapshot string length " + std::to_string(n) +
-                           " out of range for " + std::string(field));
+        return bad_field(r, "snapshot string length " + std::to_string(n) +
+                                " out of range for " + std::string(field));
     }
-    return c.get_bytes(s, n, field);
+    if (!r.take_bytes(s, n)) return truncated(r, field);
+    return {};
 }
 
-[[nodiscard]] util::Result<void> get_u64s(Cursor& c,
+[[nodiscard]] util::Result<void> get_u64s(util::codec::ByteReader& r,
                                           std::vector<std::uint64_t>& v,
                                           std::string_view field) {
     std::uint32_t n = 0;
-    if (auto r = c.get(n, field); !r) return r;
+    if (!r.take(n)) return truncated(r, field);
     if (n > (1u << 20)) {
-        return c.bad_field("snapshot array length " + std::to_string(n) +
-                           " out of range for " + std::string(field));
+        return bad_field(r, "snapshot array length " + std::to_string(n) +
+                                " out of range for " + std::string(field));
     }
     v.resize(n);
     for (std::uint64_t& x : v) {
-        if (auto r = c.get(x, field); !r) return r;
+        if (!r.take(x)) return truncated(r, field);
     }
     return {};
 }
 
-[[nodiscard]] util::Result<void> get_stats(Cursor& c,
+[[nodiscard]] util::Result<void> get_stats(util::codec::ByteReader& r,
                                            workload::Player::Stats& s) {
-    const auto field = std::string_view("player stats");
     for (std::uint64_t* x : {&s.sessions, &s.video_flows, &s.control_flows,
                              &s.redirects_miss, &s.redirects_overload,
                              &s.resolution_probes, &s.pauses, &s.dns_cache_hits,
@@ -134,9 +92,9 @@ private:
                              &s.failures.dns_failure,
                              &s.failures.retries_exhausted,
                              &s.failures.redirect_exhausted}) {
-        if (auto r = c.get(*x, field); !r) return r;
+        if (!r.take(*x)) return truncated(r, "player stats");
     }
-    return get_u64s(c, s.retry_histogram, "retry histogram");
+    return get_u64s(r, s.retry_histogram, "retry histogram");
 }
 
 /// Hash-combine in fingerprint order. Doubles contribute their exact bit
@@ -144,11 +102,7 @@ private:
 class Fingerprint {
 public:
     void mix(std::uint64_t x) { h_ = sim::mix64(h_ ^ sim::mix64(x)); }
-    void mix(double x) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &x, sizeof(bits));
-        mix(bits);
-    }
+    void mix(double x) { mix(std::bit_cast<std::uint64_t>(x)); }
     void mix(bool x) { mix(static_cast<std::uint64_t>(x)); }
     [[nodiscard]] std::uint64_t value() const { return h_; }
 
@@ -193,30 +147,28 @@ bool write_trace_snapshot(std::ostream& os, const StudyConfig& config,
 
     // Serialize the body in memory first so the trailing CRC can cover
     // every byte of it.
-    std::ostringstream body;
-    body.write(kMagic, sizeof(kMagic));
+    std::string body(kMagic, sizeof(kMagic));
     put(body, kSnapshotSchemaVersion);
     put(body, config_fingerprint(config));
     put(body, traces.events_processed);
     put(body, traces.faults_injected);
-    put<std::uint32_t>(body, static_cast<std::uint32_t>(traces.datasets.size()));
+    put(body, static_cast<std::uint32_t>(traces.datasets.size()));
 
     for (std::size_t i = 0; i < traces.datasets.size(); ++i) {
         const auto& ds = traces.datasets[i];
-        put_string(body, ds.name);
+        put_str32(body, ds.name);
         put_stats(body, traces.player_stats[i]);
         put(body, traces.requests_generated[i]);
         put(body, traces.flows_observed[i]);
         put(body, traces.flows_ignored[i]);
         // Length-prefixed so the reader can carve the blob out of the
         // stream without parsing it first.
-        put<std::uint64_t>(body, capture::binary_log_size(ds.records.size()));
-        capture::write_binary_log(body, ds.records);
+        const std::string blob = capture::binary_log_bytes(ds.records);
+        put(body, static_cast<std::uint64_t>(blob.size()));
+        body += blob;
     }
-
-    const std::string bytes = body.str();
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    put(os, util::crc32(bytes));
+    put(body, util::crc32(body));
+    os.write(body.data(), static_cast<std::streamsize>(body.size()));
     return os.good();
 }
 
@@ -230,17 +182,16 @@ bool write_trace_snapshot(const std::filesystem::path& path,
         .ok();
 }
 
-util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
-                                                      const StudyConfig& config) {
+namespace {
+
+/// Decodes a whole snapshot file in place: every vantage point's YFL2 blob
+/// is handed to the flow-log decoder as a view into `data`.
+util::Result<TraceOutputs> decode_snapshot(std::string_view data,
+                                           const StudyConfig& config) {
     if (!config.fault_schedule.empty()) {
         return Error(ErrorCode::KeyMismatch,
                      "snapshot refused: run has a fault schedule");
     }
-
-    std::string data((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    if (is.bad()) return Error(ErrorCode::Io, "snapshot read failed");
-
     constexpr std::size_t kMinSize =
         sizeof(kMagic) + sizeof(std::uint32_t) /*version*/ +
         sizeof(std::uint32_t) /*crc trailer*/;
@@ -249,12 +200,11 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
                              "snapshot smaller than its fixed framing",
                              data.size());
     }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    if (data.substr(0, sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
         return error_at_byte(ErrorCode::BadMagic,
                              "snapshot magic is not 'YSS2'", 0);
     }
-    std::uint32_t version = 0;
-    std::memcpy(&version, data.data() + sizeof(kMagic), sizeof(version));
+    const auto version = util::codec::load<std::uint32_t>(data.data() + sizeof(kMagic));
     if (version != kSnapshotSchemaVersion) {
         return error_at_byte(ErrorCode::UnsupportedVersion,
                              "snapshot schema version " +
@@ -267,24 +217,19 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
     // is reported as corruption, not as whatever field it happened to land
     // in.
     const std::size_t body_size = data.size() - sizeof(std::uint32_t);
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data.data() + body_size, sizeof(stored_crc));
-    const std::uint32_t actual_crc =
-        util::crc32(std::string_view(data).substr(0, body_size));
-    if (stored_crc != actual_crc) {
+    const auto stored_crc = util::codec::load<std::uint32_t>(data.data() + body_size);
+    if (stored_crc != util::crc32(data.substr(0, body_size))) {
         return error_at_byte(ErrorCode::ChecksumMismatch,
                              "snapshot CRC mismatch", body_size);
     }
 
-    Cursor c(std::string_view(data).substr(0, body_size));
-    {
-        // Skip magic + version, already validated.
-        std::uint32_t skip32 = 0;
-        if (auto r = c.get(skip32, "magic"); !r) return r.error();
-        if (auto r = c.get(skip32, "version"); !r) return r.error();
+    util::codec::ByteReader r(data.substr(0, body_size));
+    std::string_view header;  // magic + version, validated above
+    if (!r.take_view(header, sizeof(kMagic) + sizeof(version))) {
+        return truncated(r, "magic");
     }
     std::uint64_t fingerprint = 0;
-    if (auto r = c.get(fingerprint, "fingerprint"); !r) return r.error();
+    if (!r.take(fingerprint)) return truncated(r, "fingerprint");
     if (fingerprint != config_fingerprint(config)) {
         return error_at_byte(ErrorCode::KeyMismatch,
                              "snapshot fingerprint does not match this config",
@@ -293,14 +238,12 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
 
     TraceOutputs traces;
     std::uint32_t vps = 0;
-    if (auto r = c.get(traces.events_processed, "events_processed"); !r)
-        return r.error();
-    if (auto r = c.get(traces.faults_injected, "faults_injected"); !r)
-        return r.error();
-    if (auto r = c.get(vps, "vantage-point count"); !r) return r.error();
+    if (!r.take(traces.events_processed)) return truncated(r, "events_processed");
+    if (!r.take(traces.faults_injected)) return truncated(r, "faults_injected");
+    if (!r.take(vps)) return truncated(r, "vantage-point count");
     if (vps > 64) {
-        return c.bad_field("snapshot vantage-point count " +
-                           std::to_string(vps) + " out of range");
+        return bad_field(r, "snapshot vantage-point count " +
+                                std::to_string(vps) + " out of range");
     }
 
     for (std::uint32_t i = 0; i < vps; ++i) {
@@ -310,22 +253,20 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
         std::uint64_t observed = 0;
         std::uint64_t ignored = 0;
         std::uint64_t blob_size = 0;
-        if (auto r = get_string(c, ds.name, "vantage-point name"); !r)
-            return r.error();
-        if (auto r = get_stats(c, stats); !r) return r.error();
-        if (auto r = c.get(requests, "requests_generated"); !r) return r.error();
-        if (auto r = c.get(observed, "flows_observed"); !r) return r.error();
-        if (auto r = c.get(ignored, "flows_ignored"); !r) return r.error();
-        if (auto r = c.get(blob_size, "blob size"); !r) return r.error();
+        if (auto got = get_string(r, ds.name, "vantage-point name"); !got)
+            return got.error();
+        if (auto got = get_stats(r, stats); !got) return got.error();
+        if (!r.take(requests)) return truncated(r, "requests_generated");
+        if (!r.take(observed)) return truncated(r, "flows_observed");
+        if (!r.take(ignored)) return truncated(r, "flows_ignored");
+        if (!r.take(blob_size)) return truncated(r, "blob size");
         if (blob_size > (1ull << 34)) {
-            return c.bad_field("snapshot blob size " +
-                               std::to_string(blob_size) + " out of range");
+            return bad_field(r, "snapshot blob size " +
+                                    std::to_string(blob_size) + " out of range");
         }
-        std::string blob;
-        if (auto r = c.get_bytes(blob, blob_size, "binary-log blob"); !r)
-            return r.error();
-        std::istringstream blob_stream(std::move(blob));
-        auto records = capture::read_binary_log_result(blob_stream);
+        std::string_view blob;
+        if (!r.take_view(blob, blob_size)) return truncated(r, "binary-log blob");
+        auto records = capture::read_binary_log_bytes(blob);
         if (!records) {
             return records.error().context("snapshot blob for vantage point '" +
                                            ds.name + "'");
@@ -338,13 +279,23 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
         traces.flows_ignored.push_back(ignored);
     }
     // Trailing bytes mean the writer and reader disagree about layout.
-    if (!c.at_end()) {
+    if (!r.done()) {
         return error_at_byte(ErrorCode::CountMismatch,
                              "snapshot has trailing bytes after the last "
                              "vantage point",
-                             c.pos());
+                             r.offset());
     }
     return traces;
+}
+
+}  // namespace
+
+util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
+                                                      const StudyConfig& config) {
+    const std::string data((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    if (is.bad()) return Error(ErrorCode::Io, "snapshot read failed");
+    return decode_snapshot(data, config);
 }
 
 util::Result<TraceOutputs> load_trace_snapshot_result(
@@ -353,9 +304,7 @@ util::Result<TraceOutputs> load_trace_snapshot_result(
     if (!data) {
         return std::move(data).context("snapshot " + path.string()).error();
     }
-    std::istringstream is(std::move(data).value());
-    return load_trace_snapshot_result(is, config)
-        .context("snapshot " + path.string());
+    return decode_snapshot(data.value(), config).context("snapshot " + path.string());
 }
 
 std::optional<TraceOutputs> load_trace_snapshot(std::istream& is,

@@ -1,5 +1,6 @@
 #include "study/supervisor.hpp"
 
+#include <bit>
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "capture/flow_log.hpp"
 #include "study/snapshot.hpp"
 #include "study/study_run.hpp"
+#include "util/bits.hpp"
 #include "util/crc32.hpp"
 #include "util/host_clock.hpp"
 #include "util/io.hpp"
@@ -40,26 +42,12 @@ SupervisorMetrics& supervisor_metrics() {
     return metrics;
 }
 
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t bits_of(double v) {
-    std::uint64_t out;
-    static_assert(sizeof(out) == sizeof(v));
-    __builtin_memcpy(&out, &v, sizeof(out));
-    return out;
-}
-
 /// config_fingerprint + every report option that shapes report bytes, so a
 /// resume under different flags is rejected as a KeyMismatch.
 std::uint64_t fingerprint_of(const StudyConfig& config,
                              const ReportOptions& report) {
     std::uint64_t h = config_fingerprint(config);
-    const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
+    const auto fold = [&h](std::uint64_t v) { h = util::splitmix64(h ^ v); };
     fold(report.include_table3 ? 1 : 0);
     fold(static_cast<std::uint64_t>(report.landmarks.north_america));
     fold(static_cast<std::uint64_t>(report.landmarks.europe));
@@ -71,19 +59,9 @@ std::uint64_t fingerprint_of(const StudyConfig& config,
     fold(static_cast<std::uint64_t>(report.cbg.target_probes));
     fold(static_cast<std::uint64_t>(report.cbg.grid));
     fold(static_cast<std::uint64_t>(report.cbg.max_circles));
-    fold(bits_of(report.cbg.relax_step));
+    fold(std::bit_cast<std::uint64_t>(report.cbg.relax_step));
     fold(static_cast<std::uint64_t>(report.cbg.max_relax_iters));
     return h;
-}
-
-std::string hex64(std::uint64_t v) {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-        v >>= 4;
-    }
-    return out;
 }
 
 const char* status_word(const StageStatus& st) {
@@ -104,7 +82,7 @@ std::string render_manifest(std::uint64_t fingerprint,
     std::ostringstream os;
     os << "# ytcdn supervised study run\n";
     os << "manifest_version 1\n";
-    os << "fingerprint " << hex64(fingerprint) << '\n';
+    os << "fingerprint " << util::hex(fingerprint) << '\n';
     std::uint64_t retries = 0;
     for (const auto& st : stages) {
         os << "stage " << to_string(st.stage) << " status=" << status_word(st)

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "util/bits.hpp"
 #include "util/metrics.hpp"
 
 #include "util/host_clock.hpp"
@@ -35,14 +36,6 @@ struct IoMetrics {
 IoMetrics& io_metrics() {
     static IoMetrics m;
     return m;
-}
-
-/// splitmix64 — local so the base library stays independent of sim/.
-std::uint64_t mix(std::uint64_t x) {
-    x += 0x9E37'79B9'7F4A'7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58'476D'1CE4'E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D0'49BB'1331'11EBull;
-    return x ^ (x >> 31);
 }
 
 double unit_interval(std::uint64_t h) {
@@ -148,7 +141,8 @@ FaultKind FaultPlan::draw(Op op, const std::filesystem::path& path,
             continue;
         }
         const std::uint64_t h =
-            mix(seed_ ^ mix(static_cast<std::uint64_t>(i) + 1) ^ mix(seq));
+            splitmix64(seed_ ^ splitmix64(static_cast<std::uint64_t>(i) + 1) ^
+                       splitmix64(seq));
         if (unit_interval(h) < rule.probability) {
             ++state_->injected[i];
             ++state_->totals.injected;

@@ -1,7 +1,7 @@
 // Deterministic parser-fuzz smoke test (ctest: fuzz_smoke).
 //
-// Contract under test: every external input surface — binary flow logs
-// (v1 and v2), YSS2 snapshots (in-memory and the on-disk quarantine path),
+// Contract under test: every external input surface — YFL2 binary flow
+// logs (batch and streaming), YSS2 snapshots (in-memory and the on-disk quarantine path),
 // the fault-schedule DSL, and CLI argument vectors — either succeeds or
 // reports a typed ytcdn::Error. Nothing may crash, abort, loop, or trip a
 // sanitizer, no matter how the bytes are damaged.
@@ -87,9 +87,9 @@ util::Result<void> drop(util::Result<std::vector<capture::FlowRecord>> r) {
 
 // --- surfaces -------------------------------------------------------------
 
-void fuzz_binary_log(Tally& tally, const std::string& valid, bool v2,
-                     sim::Rng rng, std::uint64_t iterations) {
-    const std::string surface = v2 ? "binary_log_v2" : "binary_log_v1";
+void fuzz_binary_log(Tally& tally, const std::string& valid, sim::Rng rng,
+                     std::uint64_t iterations) {
+    const std::string surface = "binary_log_v2";
     for (std::uint64_t i = 0; i < iterations; ++i) {
         const auto bytes = fuzz::mutate_bytes_n(valid, rng);
         run_case(tally, surface, i, [&] {
@@ -387,8 +387,6 @@ int main(int argc, char** argv) {
     const auto records = seed_records(300, record_rng);
     std::ostringstream v2;
     capture::write_binary_log(v2, records);
-    std::ostringstream v1;
-    capture::write_binary_log_v1(v1, records);
 
     study::StudyConfig cfg;
     cfg.scale = 0.004;
@@ -401,8 +399,7 @@ int main(int argc, char** argv) {
     }
     const std::string trace_bytes = sim::write_trace_bytes(tracer.log());
 
-    fuzz_binary_log(tally, v2.str(), /*v2=*/true, master.fork("v2"), 1200);
-    fuzz_binary_log(tally, v1.str(), /*v2=*/false, master.fork("v1"), 800);
+    fuzz_binary_log(tally, v2.str(), master.fork("v2"), 1200);
     fuzz_streaming_log(tally, v2.str(), master.fork("streaming"), 300);
     fuzz_snapshot_stream(tally, snap.str(), cfg, master.fork("snap"), 800);
     fuzz_snapshot_quarantine(tally, snap.str(), cfg, master.fork("quarantine"), 60);

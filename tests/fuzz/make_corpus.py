@@ -54,7 +54,8 @@ def ytr_file(events: list[bytes], strings: tuple[bytes, ...] = ()) -> bytes:
 def fixtures() -> dict[str, bytes]:
     out: dict[str, bytes] = {}
 
-    # --- binary log (YFL1/YFL2) ------------------------------------------
+    # --- binary log (YFL2; the v1_* fixtures are retired YFL1 streams that
+    # every reader must reject as BadMagic) -------------------------------
     out["empty.yfl"] = b""
     out["bad_magic.yfl"] = b"XXXX" + bytes(range(60))
     out["truncated_header.yfl"] = b"YFL2\x02\x00"
@@ -98,6 +99,13 @@ def fixtures() -> dict[str, bytes]:
     # v1 declaring 4 records but carrying only 2: the unchecksummed format's
     # only tripwire is the size arithmetic.
     out["v1_truncated.yfl"] = b"YFL1" + struct.pack("<IQ", 1, 4) + rec * 2
+    # Valid v2 framing and CRCs around one record whose itag (250) does not
+    # exist: field validation, not framing, must reject it.
+    bad_itag = struct.pack("<IIddQQB", 1, 2, 0.0, 1.0, 100, 7, 250)
+    good_tail = b"YFLE" + struct.pack("<Q", 1)
+    out["v2_bad_itag.yfl"] = (
+        v2_header(1) + struct.pack("<II", 1, crc(bad_itag)) + bad_itag
+        + good_tail + struct.pack("<I", crc(good_tail)))
 
     # --- snapshot (YSS2) --------------------------------------------------
     out["snapshot_bad_magic.yss"] = b"XSS2" + bytes(32)

@@ -2,10 +2,13 @@
 
 // Golden digests of the simulator's paper-facing outputs: the rendered full
 // report, the per-vantage-point YFL2 flow logs with their counters, the
-// YTR1 structured trace, and the §VI-VII analysis functions' results. Each
-// constant is a 64-bit FNV-1a over the bytes plus their length.
+// YTR1 structured trace, and the §VI-VII analysis functions' results; and
+// of the on-disk formats' decoders and encoders: every outcome of the YFL2
+// and YTR1 readers on damaged input, the YSS2 snapshot, YCK1 checkpoints
+// and the ytcdnd aggregate and checkpoint bytes. Each constant is a 64-bit
+// FNV-1a over the bytes plus their length.
 //
-// They were recorded from the reference paths the repository used to carry
+// Most were recorded from the reference paths the repository used to carry
 // — the single-queue simulation driver (one sim::Simulator for every
 // vantage point), the AoS record-walk report and analyses, the FlowTable
 // column scans and the VideoSession pattern functions — immediately before
@@ -17,6 +20,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -157,6 +161,18 @@ public:
 private:
     std::ostringstream os_;
 };
+
+/// A decoder's error as one line: code, record index, byte offset and the
+/// rendered message, so a pinned digest covers the whole error taxonomy and
+/// not just the code.
+inline std::string error_line(const Error& e) {
+    const auto field = [](const std::optional<std::uint64_t>& v) {
+        return v ? std::to_string(*v) : std::string("-");
+    };
+    return std::string(to_string(e.code())) + " record=" +
+           field(e.where().record_index) + " byte=" + field(e.where().byte_offset) +
+           ' ' + e.what() + '\n';
+}
 
 /// Every dataset as "<name>\n" + its YFL2 serialization — field-exact,
 /// float bits included.
@@ -337,5 +353,30 @@ inline constexpr Digest kRandomScanAnalyses{0x8ed167521b3ebc66ull, 14080};
 /// random_world(seed, 500) for seeds 11-15 at T = 1 s: session_patterns,
 /// multi_flow_patterns, flows_per_session_cdf.
 inline constexpr Digest kRandomSessionPatterns{0xf77d023ec0aef6faull, 1364};
+
+// Decoder outcomes and codec bytes, recorded before the YFL2, YTR1 and
+// YFL1 decoders were reduced to one per format and the byte codecs to one.
+
+/// StreamingLog.OutcomesMatchPinnedDigests: the batch YFL2 reader on every
+/// cut of random_records(10, 25), every ^0x2A flip of random_records(10, 26)
+/// and the named corpus fixtures, one golden::error_line (or "ok n") each.
+inline constexpr Digest kYfl2CutOutcomes{0x8428697b08cc623aull, 43236};
+inline constexpr Digest kYfl2FlipOutcomes{0xda4e9991182d5cf1ull, 40750};
+inline constexpr Digest kYfl2FixtureOutcomes{0xf7df68dc5af022deull, 880};
+/// Tracer.ReadAndSalvageOutcomesMatchPinnedDigests: read_trace_bytes and
+/// salvage_trace_bytes on every cut and every ^0x2A flip of the fixture
+/// log, and on the six YTR1 corpus fixtures.
+inline constexpr Digest kYtr1CutOutcomes{0x6c25278f900f11edull, 75054};
+inline constexpr Digest kYtr1FlipOutcomes{0x7391bd97fa34f60cull, 59692};
+inline constexpr Digest kYtr1FixtureOutcomes{0x8d8c661c3c4f46f8ull, 983};
+/// The YSS2 snapshot of config_at(0.02), and the YCK1 capture, geolocate and
+/// analyze (no Table III) checkpoints of the same run, concatenated.
+inline constexpr Digest kSnapshot002{0x843d23313ac52de2ull, 1985902};
+inline constexpr Digest kCheckpoints002{0xd549a6f89b6d11ffull, 78985};
+/// test_service's ServiceAggregates::encode (load policy, "far" drained,
+/// streams eu1 and us1) and the service checkpoint after one `once` pass
+/// over its fixed spool.
+inline constexpr Digest kServiceAggregates{0x40420cbe91d8df71ull, 2037};
+inline constexpr Digest kServiceCheckpoint{0x8699514fe9b28250ull, 2250};
 
 }  // namespace ytcdn::golden

@@ -157,7 +157,12 @@ TEST(Result, VoidSpecializationWorks) {
 class AtomicFileTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "ytcdn_atomic_file_test";
+        // One directory per test: ctest -j runs these tests concurrently,
+        // and a shared directory let one test's SetUp delete another's file.
+        const std::string test =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        dir_ = std::filesystem::temp_directory_path() /
+               ("ytcdn_atomic_file_test_" + test);
         std::filesystem::remove_all(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }

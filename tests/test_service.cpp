@@ -15,20 +15,25 @@
 #include "analysis/session.hpp"
 #include "capture/dataset.hpp"
 #include "capture/log_io.hpp"
+#include "golden_digests.hpp"
 #include "service/aggregates.hpp"
 #include "service/control.hpp"
 #include "service/ingest_queue.hpp"
 #include "service/service.hpp"
 #include "service/spool.hpp"
+#include "study/checkpoint.hpp"
 #include "util/io.hpp"
+#include "util/metrics.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
 namespace fs = std::filesystem;
+namespace golden = ytcdn::golden;
 namespace io = ytcdn::util::io;
 namespace net = ytcdn::net;
 namespace service = ytcdn::service;
+namespace study = ytcdn::study;
 
 namespace {
 
@@ -236,6 +241,16 @@ TEST(ServiceAggregates, EncodeDecodeRoundtripIsByteStable) {
     EXPECT_EQ(decoded.value().preference().policy(), "load");
 }
 
+TEST(ServiceAggregates, EncodeMatchesPinnedDigest) {
+    service::ServiceAggregates agg(1.0);
+    agg.preference().set_map(two_dc_map());
+    ASSERT_TRUE(agg.preference().set_policy("load"));
+    ASSERT_TRUE(agg.preference().set_drained("far", true));
+    for (const auto& r : sample_records()) agg.add("eu1", r);
+    for (const auto& r : sample_records()) agg.add("us1", r);
+    EXPECT_EQ(golden::digest_of(agg.encode()), golden::kServiceAggregates);
+}
+
 TEST(ServiceAggregates, DecodeRejectsDamage) {
     service::ServiceAggregates agg(1.0);
     for (const auto& r : sample_records()) agg.add("eu1", r);
@@ -374,6 +389,68 @@ TEST(Determinism, ServiceResume) {
         }
         fs::remove_all(base);
     }
+}
+
+TEST(Service, CheckpointMatchesPinnedDigest) {
+    // The YCK1-framed service checkpoint (aggregates, ledger, shed log,
+    // mutations, totals) after one pass over the fixed test spool.
+    const auto base = temp_dir("pinned_checkpoint");
+    make_spool(base / "spool", sample_records());
+    service::Service svc(once_options(base / "spool", base / "run", 1));
+    auto report = svc.run();
+    ASSERT_TRUE(report.ok()) << report.error().what();
+    const std::string checkpoint =
+        file_bytes(study::checkpoint_path(base / "run", study::Stage::Service));
+    EXPECT_EQ(golden::digest_of(checkpoint), golden::kServiceCheckpoint);
+    fs::remove_all(base);
+}
+
+namespace {
+
+std::uint64_t io_operations() {
+    for (const auto& e : ytcdn::util::metrics::Registry::global().snapshot().entries) {
+        if (e.name == "util.io.operations") return e.value;
+    }
+    return 0;
+}
+
+/// util.io.operations spent by one `once` pass over a spool holding `log`
+/// under each of `names` (no dc map, checkpoints only at start and end).
+std::uint64_t ingest_operations(const fs::path& base, const fs::path& log,
+                                const std::vector<std::string>& names) {
+    const auto spool = base / "spool";
+    fs::create_directories(spool);
+    for (const auto& name : names) fs::copy_file(log, spool / name);
+    auto options = once_options(spool, base / "run", 1);
+    options.checkpoint_every = 0;
+    service::Service svc(options);
+    const std::uint64_t before = io_operations();
+    auto report = svc.run();
+    EXPECT_TRUE(report.ok()) << report.error().what();
+    EXPECT_EQ(report.value().files_ingested, names.size());
+    return io_operations() - before;
+}
+
+}  // namespace
+
+TEST(Service, ParsesEachSpoolFileFromItsOneRead) {
+    // The ledger's size and CRC must describe the bytes that were parsed,
+    // so the parse task reads each spool file exactly once: one more file
+    // costs the host operations of one read_file, not two.
+    const auto base = temp_dir("one_read");
+    const auto log = base / "eu1-0001.yfl";
+    capture::write_any_log(log, sample_records());
+    const std::uint64_t before = io_operations();
+    ASSERT_TRUE(io::read_file(log).ok());
+    const std::uint64_t one_read = io_operations() - before;
+    ASSERT_GT(one_read, 0u);
+
+    const std::uint64_t one_file =
+        ingest_operations(base / "one", log, {"eu1-0001.yfl"});
+    const std::uint64_t two_files =
+        ingest_operations(base / "two", log, {"eu1-0001.yfl", "eu1-0002.yfl"});
+    EXPECT_EQ(two_files - one_file, one_read);
+    fs::remove_all(base);
 }
 
 TEST(Service, RefusesResumeUnderDifferentKnobs) {

@@ -11,11 +11,24 @@
 #include <sstream>
 #include <string>
 
+#include <utility>
+#include <vector>
+
+#include "capture/binary_log.hpp"
+#include "golden_digests.hpp"
+#include "study/checkpoint.hpp"
 #include "study/report.hpp"
 #include "study/snapshot.hpp"
 #include "study/study_run.hpp"
+#include "util/crc32.hpp"
+#include "util/io.hpp"
+#include "util/parallel.hpp"
 
+namespace capture = ytcdn::capture;
+namespace fs = std::filesystem;
+namespace golden = ytcdn::golden;
 namespace study = ytcdn::study;
+namespace util = ytcdn::util;
 
 namespace {
 
@@ -342,3 +355,41 @@ TEST(Snapshot, NameEncodesSeedScaleAndSchema) {
 }
 
 }  // namespace
+
+TEST(Snapshot, BytesMatchPinnedDigests) {
+    // The YSS2 cache of the scale-0.02 run, and YCK1 checkpoints of that
+    // run's capture, geolocate and analyze payloads, pinned byte for byte.
+    const auto cfg = golden::config_at(0.02);
+    util::ThreadPool pool(2);
+    const auto run = study::run_study(cfg, pool);
+    std::ostringstream snapshot;
+    ASSERT_TRUE(study::write_trace_snapshot(snapshot, cfg, run.traces));
+    EXPECT_EQ(golden::digest_of(snapshot.str()), golden::kSnapshot002);
+
+    std::vector<study::CaptureEntry> entries;
+    for (const auto& ds : run.traces.datasets) {
+        std::ostringstream log;
+        capture::write_binary_log(log, ds.records);
+        entries.push_back({ds.name, log.str().size(), util::crc32(log.str())});
+    }
+    study::ReportOptions opts;
+    opts.include_table3 = false;
+    const std::pair<study::Stage, std::string> payloads[] = {
+        {study::Stage::Capture, study::encode_capture(entries)},
+        {study::Stage::Geolocate, study::encode_geolocate(run.maps, run.preferred)},
+        {study::Stage::Analyze,
+         study::encode_report(study::make_full_report(run, pool, opts))},
+    };
+    const auto dir = fs::temp_directory_path() / "ytcdn_snapshot_checkpoints";
+    fs::remove_all(dir);
+    std::string checkpoints;
+    for (const auto& [stage, payload] : payloads) {
+        const auto path = study::checkpoint_path(dir, stage);
+        ASSERT_TRUE(study::write_checkpoint(path, study::config_fingerprint(cfg),
+                                            stage, payload)
+                        .ok());
+        checkpoints += util::io::read_file(path).value_or_throw();
+    }
+    EXPECT_EQ(golden::digest_of(checkpoints), golden::kCheckpoints002);
+    fs::remove_all(dir);
+}

@@ -118,6 +118,23 @@ std::optional<ytcdn::ErrorCode> batch_code(const std::string& bytes) {
     return r.error().code();
 }
 
+/// The batch reader's outcome on `bytes`: "ok <records>" or the error line.
+std::string batch_outcome(const std::string& bytes) {
+    std::istringstream in(bytes);
+    auto r = capture::read_binary_log_result(in);
+    return r.ok() ? "ok " + std::to_string(r.value().size()) + "\n"
+                  : golden::error_line(r.error());
+}
+
+/// The streaming reader's outcome on `bytes` (64-byte chunks), same form.
+std::string stream_outcome(const fs::path& path, const std::string& bytes) {
+    write_file(path, bytes);
+    std::vector<capture::FlowRecord> records;
+    auto r = stream_all(path, 64, records);
+    return r.ok() ? "ok " + std::to_string(records.size()) + "\n"
+                  : golden::error_line(r.error());
+}
+
 void expect_records_equal(const std::vector<capture::FlowRecord>& a,
                           const std::vector<capture::FlowRecord>& b) {
     ASSERT_EQ(a.size(), b.size());
@@ -192,27 +209,35 @@ TEST(StreamingLog, ReaderStreamsBatchIdenticalRecords) {
 
     auto reader = capture::FlowLogReader::open(path);
     ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value().version(), 2u);
     EXPECT_EQ(reader.value().declared_records(), records.size());
     fs::remove_all(dir);
 }
 
-TEST(StreamingLog, V1StreamsIdentically) {
-    const auto dir = scratch_dir("v1");
-    const auto records = random_records(300, 23);
-    std::ostringstream os;
-    capture::write_binary_log_v1(os, records);
+TEST(StreamingLog, Yfl1IsRejectedByBothReaders) {
+    // YFL2 is the only flow-log version: a stream in the retired
+    // unchecksummed YFL1 layout (magic, u32 version 1, u64 count, bare
+    // records) is BadMagic at byte 0 from the batch and the streaming
+    // reader alike, as are the three v1_* corpus fixtures.
+    const auto dir = scratch_dir("yfl1");
     const auto path = dir / "log.yfl";
-    write_file(path, os.str());
+    std::ostringstream os;
+    capture::write_binary_log(os, random_records(3, 23));
+    std::string yfl1 = "YFL1";
+    const std::uint32_t version = 1;
+    const std::uint64_t count = 3;
+    yfl1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    yfl1.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    yfl1 += os.str().substr(28, 3 * 41);  // the v2 block's three records
 
-    std::vector<capture::FlowRecord> streamed;
-    auto r = stream_all(path, 128, streamed);
-    ASSERT_TRUE(r.ok()) << r.error().what();
-    expect_records_equal(streamed, records);
-
-    auto reader = capture::FlowLogReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value().version(), 1u);
+    std::vector<std::string> inputs = {yfl1};
+    for (const char* name : {"v1_bad_itag.yfl", "v1_count_overflow.yfl",
+                             "v1_truncated.yfl"}) {
+        inputs.push_back(file_bytes(fs::path(YTCDN_CORPUS_DIR) / name));
+    }
+    for (const std::string& bytes : inputs) {
+        EXPECT_EQ(batch_outcome(bytes), "bad-magic record=- byte=0 bad magic [byte 0]\n");
+        EXPECT_EQ(stream_outcome(path, bytes), batch_outcome(bytes));
+    }
     fs::remove_all(dir);
 }
 
@@ -313,9 +338,66 @@ TEST(StreamingLog, CorruptFixturesFailIdenticallyInBothReaders) {
         ++swept;
     }
     // The corpus must include the incremental-reader fixtures (truncated
-    // mid-block, lying block count, bad trailer magic, truncated v1).
+    // mid-block, lying block count, bad trailer magic, bad itag) and the
+    // retired v1 streams.
     EXPECT_GE(swept, 10u);
+    // The well-framed log with an invalid record reaches field validation.
+    EXPECT_EQ(batch_outcome(file_bytes(corpus / "v2_bad_itag.yfl")),
+              "bad-field record=0 byte=28 bad itag 250 [record 0 @ byte 28]\n");
     fs::remove_all(scratch);
+}
+
+/// The corpus fixtures kYfl2FixtureOutcomes covers, in digest order.
+constexpr const char* kPinnedYflFixtures[] = {
+    "bad_magic.yfl",          "empty.yfl",
+    "truncated_header.yfl",   "v2_bad_block_crc.yfl",
+    "v2_block_count_lies.yfl", "v2_count_overflow.yfl",
+    "v2_future_version.yfl",  "v2_trailer_bad_magic.yfl",
+    "v2_truncated_mid_block.yfl",
+};
+
+TEST(StreamingLog, OutcomesMatchPinnedDigests) {
+    // Every cut of one 10-record log, every single-byte flip of another and
+    // the YFL2 corpus fixtures: the code, record index, byte offset and
+    // message of each outcome are pinned, and the streaming reader must
+    // produce exactly the batch reader's lines.
+    const auto dir = scratch_dir("outcomes");
+    const auto path = dir / "log.yfl";
+    std::string cuts, cuts_streamed;
+    {
+        std::ostringstream os;
+        capture::write_binary_log(os, random_records(10, 25));
+        const std::string good = os.str();
+        for (std::size_t cut = 0; cut < good.size(); ++cut) {
+            cuts += batch_outcome(good.substr(0, cut));
+            cuts_streamed += stream_outcome(path, good.substr(0, cut));
+        }
+    }
+    std::string flips, flips_streamed;
+    {
+        std::ostringstream os;
+        capture::write_binary_log(os, random_records(10, 26));
+        const std::string good = os.str();
+        for (std::size_t at = 0; at < good.size(); ++at) {
+            std::string bytes = good;
+            bytes[at] = static_cast<char>(bytes[at] ^ 0x2A);
+            flips += batch_outcome(bytes);
+            flips_streamed += stream_outcome(path, bytes);
+        }
+    }
+    std::string fixtures, fixtures_streamed;
+    for (const char* name : kPinnedYflFixtures) {
+        const std::string bytes = file_bytes(fs::path(YTCDN_CORPUS_DIR) / name);
+        fixtures += std::string(name) + ": " + batch_outcome(bytes);
+        fixtures_streamed += std::string(name) + ": " + stream_outcome(path, bytes);
+    }
+    EXPECT_EQ(golden::digest_of(cuts), golden::kYfl2CutOutcomes) << cuts;
+    EXPECT_EQ(golden::digest_of(flips), golden::kYfl2FlipOutcomes) << flips;
+    EXPECT_EQ(golden::digest_of(fixtures), golden::kYfl2FixtureOutcomes) << fixtures;
+    EXPECT_EQ(cuts_streamed, cuts);
+    EXPECT_EQ(flips_streamed, flips);
+    EXPECT_EQ(fixtures_streamed, fixtures);
+    fs::remove_all(dir);
 }
 
 // --- the §VII folds: pinned outputs and feed-order invariance ------------

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "golden_digests.hpp"
 #include "sim/tracer.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
@@ -20,6 +21,7 @@
 #include "util/parallel.hpp"
 #include "workload/player.hpp"
 
+namespace golden = ytcdn::golden;
 namespace sim = ytcdn::sim;
 namespace study = ytcdn::study;
 namespace util = ytcdn::util;
@@ -226,6 +228,54 @@ TEST(Tracer, SalvageRecoversTornTailButRejectsCorruption) {
     EXPECT_FALSE(
         sim::salvage_trace_bytes(read_file(corpus_path("trace_bad_magic.ytr")))
             .ok());
+}
+
+/// The strict reader's and the salvage's outcomes on `bytes`, one line each.
+std::string read_outcomes(std::string_view bytes) {
+    std::string out;
+    auto strict = sim::read_trace_bytes(bytes);
+    out += strict.ok() ? "ok " + std::to_string(strict.value().events.size()) + "\n"
+                       : golden::error_line(strict.error());
+    auto salvage = sim::salvage_trace_bytes(bytes);
+    if (salvage.ok()) {
+        const auto& s = salvage.value();
+        out += "salvage complete=" + std::to_string(s.complete) +
+               " events=" + std::to_string(s.log.events.size()) +
+               " strings=" + std::to_string(s.log.strings.size()) +
+               " declared=" + std::to_string(s.declared_events) + " note=" + s.note +
+               '\n';
+    } else {
+        out += "salvage " + golden::error_line(salvage.error());
+    }
+    return out;
+}
+
+TEST(Tracer, ReadAndSalvageOutcomesMatchPinnedDigests) {
+    // Every cut and every single-byte flip of the fixture log, and every
+    // YTR1 corpus fixture: the strict verdict and the salvage verdict
+    // (complete, events kept, note, or the error's code, record, byte offset
+    // and message) are pinned.
+    const std::string good = sim::write_trace_bytes(fixture_log());
+    std::string cuts;
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+        cuts += read_outcomes(std::string_view(good).substr(0, cut));
+    }
+    std::string flips;
+    for (std::size_t at = 0; at < good.size(); ++at) {
+        std::string bytes = good;
+        bytes[at] = static_cast<char>(bytes[at] ^ 0x2A);
+        flips += read_outcomes(bytes);
+    }
+    std::string fixtures;
+    for (const char* name :
+         {"trace_bad_crc.ytr", "trace_bad_magic.ytr", "trace_bad_string_ref.ytr",
+          "trace_count_overflow.ytr", "trace_truncated.ytr", "trace_valid.ytr"}) {
+        fixtures +=
+            std::string(name) + ": " + read_outcomes(read_file(corpus_path(name)));
+    }
+    EXPECT_EQ(golden::digest_of(cuts), golden::kYtr1CutOutcomes) << cuts;
+    EXPECT_EQ(golden::digest_of(flips), golden::kYtr1FlipOutcomes) << flips;
+    EXPECT_EQ(golden::digest_of(fixtures), golden::kYtr1FixtureOutcomes) << fixtures;
 }
 
 TEST(Tracer, JsonlCarriesResolvedFaultTargets) {

@@ -84,16 +84,20 @@ int run(const util::ArgParser& args) {
                     "unknown option --" + unknown.front());
     }
 
+    const std::string path = args.positionals().front();
+    const std::string bytes =
+        util::io::read_file(path).context("trace " + path).value_or_throw();
     bool torn = false;
     sim::TraceLog log;
-    auto strict = sim::read_trace_file(args.positionals().front());
+    auto strict = sim::read_trace_bytes(bytes).context("trace " + path);
     if (strict) {
         log = std::move(strict).value();
     } else {
-        // Strict read failed: try the torn-tail salvage. It repeats the
-        // strict header/string/CRC checks, so real corruption still fails
-        // here and the original typed error (exit 4) is what's reported.
-        auto salvage = sim::salvage_trace_file(args.positionals().front());
+        // Strict read failed: try the torn-tail salvage of the same bytes.
+        // It walks the stream with the same checks, so real corruption
+        // still fails here and the strict typed error (exit 4) is what's
+        // reported.
+        auto salvage = sim::salvage_trace_bytes(bytes);
         if (!salvage || salvage.value().complete) {
             throw std::move(strict).error();
         }
