@@ -150,6 +150,32 @@ TEST(BinaryLog, RejectsCorruptionWithTypedErrors) {
     EXPECT_THROW((void)capture::read_binary_log(in), ytcdn::Error);
 }
 
+TEST(BinaryLog, ReadersRejectV1AsBadMagic) {
+    // YFL1 (magic, u32 version 1, u64 count, bare 41-byte records, no CRC)
+    // is retired: every batch entry point rejects a well-formed YFL1 stream
+    // as BadMagic at byte 0 rather than decoding it.
+    std::stringstream v2;
+    capture::write_binary_log(v2, random_records(100, 7));
+    std::string v1 = "YFL1";
+    const std::uint32_t version = 1;
+    const std::uint64_t count = 100;
+    v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    v1.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    v1 += v2.str().substr(kV2FirstRecord, 100 * 41);
+
+    const auto e = parse_error(v1);
+    EXPECT_EQ(e.code(), ytcdn::ErrorCode::BadMagic);
+    ASSERT_TRUE(e.where().byte_offset.has_value());
+    EXPECT_EQ(*e.where().byte_offset, 0u);
+
+    const auto bytes = capture::read_binary_log_bytes(v1);
+    ASSERT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.error().code(), ytcdn::ErrorCode::BadMagic);
+
+    std::istringstream in(v1);
+    EXPECT_THROW((void)capture::read_binary_log(in), ytcdn::Error);
+}
+
 /// Re-seals block 0's CRC over its first `records` records, so an edited
 /// field reaches record validation instead of the block checksum.
 void reseal_first_block(std::string& log, std::size_t records) {
