@@ -87,6 +87,9 @@ struct ScaleBenchMetrics {
     util::metrics::Gauge rate = util::metrics::gauge("scale.sessions_per_sec");
     util::metrics::Gauge rss = util::metrics::gauge("scale.peak_rss_self_kib");
     util::metrics::Gauge ceiling = util::metrics::gauge("scale.rss_ceiling_kib");
+    /// Pool size of the run: the engine and the noise lanes share it, so it
+    /// is part of a sessions/s number's provenance.
+    util::metrics::Gauge threads = util::metrics::gauge("scale.threads");
 };
 
 ScaleBenchMetrics& metrics() {
@@ -107,6 +110,7 @@ study::ScaleRunConfig scale_config() {
 void run_once(benchmark::State& state) {
     const auto cfg = scale_config();
     util::ThreadPool pool(util::default_thread_count());
+    metrics().threads.update_max(pool.size());
 
     const auto start = std::chrono::steady_clock::now();
     auto summary = study::run_scale_study(cfg, pool);
@@ -135,8 +139,10 @@ void run_once(benchmark::State& state) {
     metrics().ceiling.update_max(ceiling);
 
     state.counters["sessions"] = static_cast<double>(s.sessions);
-    state.counters["sessions/s"] = benchmark::Counter(
-        static_cast<double>(s.sessions), benchmark::Counter::kIsRate);
+    // Wall-clock rate: kIsRate would divide by the main thread's CPU time,
+    // which misses the pool lanes that ran on other threads.
+    state.counters["sessions/s"] =
+        secs > 0.0 ? static_cast<double>(s.sessions) / secs : 0.0;
     state.counters["peak_rss_kib"] = static_cast<double>(rss_kib);
 
     if (rss_kib > ceiling) {
@@ -163,13 +169,14 @@ void print_reproduction() {
         "streamed two-pass analysis holds RSS flat in session count; "
         "10M sessions must fit in 4 GiB (DESIGN.md \xC2\xA7""16)");
     analysis::AsciiTable t({"target sessions", "scale factor",
-                            "RSS ceiling [KiB]"});
+                            "RSS ceiling [KiB]", "threads"});
     const auto sessions = target_sessions();
     t.add_row({std::to_string(sessions),
                analysis::fmt(static_cast<double>(sessions) /
                                  kSessionsPerUnitScale,
                              4),
-               std::to_string(rss_ceiling_kib())});
+               std::to_string(rss_ceiling_kib()),
+               std::to_string(util::default_thread_count())});
     std::cout << t << '\n';
 }
 

@@ -140,7 +140,7 @@ util::Result<ScaleRunSummary> run_scale_study(const ScaleRunConfig& config,
     TraceDriver driver(deployment);
     driver.set_num_shards(config.study.engine_shards);
     driver.set_flow_sinks(std::move(sink_ptrs));
-    TraceOutputs traces = driver.run();
+    TraceOutputs traces = driver.run(pool);
 
     ScaleRunSummary summary;
     summary.events = traces.events_processed;

@@ -49,9 +49,10 @@ struct ScaleRunSummary {
 };
 
 /// Runs the two-pass out-of-core study. Pass 1 simulates on the event
-/// engine with spilling sinks (sequential, like every trace run); pass 2
-/// fans the per-VP streamed analyses out on `pool`. Deterministic: same
-/// config, same summary, any thread count.
+/// engine with spilling sinks (a sequential merge, like every trace run),
+/// with the background-traffic lanes beside it on `pool`; pass 2 fans the
+/// per-VP streamed analyses out on `pool`. Deterministic: same config,
+/// same summary, any thread count.
 [[nodiscard]] util::Result<ScaleRunSummary> run_scale_study(
     const ScaleRunConfig& config, util::ThreadPool& pool);
 

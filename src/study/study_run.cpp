@@ -129,7 +129,7 @@ StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,
     TraceDriver driver(*deployment);
     driver.set_num_shards(config.engine_shards);
     driver.set_tracer(tracer);
-    return derive_run(config, std::move(deployment), driver.run(), pool);
+    return derive_run(config, std::move(deployment), driver.run(pool), pool);
 }
 
 StudyRun run_study(const StudyConfig& config, sim::Tracer* tracer) {

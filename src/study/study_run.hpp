@@ -43,9 +43,10 @@ struct StudyRun {
 };
 
 /// Builds the deployment, simulates the week, and derives the per-vantage
-/// point maps and preferred data centers. The event-driven simulation is
-/// single-threaded by design (all vantage points share one CDN); the
-/// derivation stages fan out on `pool`. A non-null `tracer` collects the
+/// point maps and preferred data centers. The event merge is sequential by
+/// design (all vantage points share one CDN); the background-traffic lanes
+/// run beside it and the derivation stages fan out, both on `pool`
+/// (TraceDriver::run). A non-null `tracer` collects the
 /// simulation's structured event stream (see sim/tracer.hpp) without
 /// changing any output byte.
 [[nodiscard]] StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,

@@ -240,7 +240,7 @@ util::Result<SupervisorResult> Supervisor::run() {
         auto deployment = std::make_unique<StudyDeployment>(config_);
         TraceDriver driver(*deployment);
         driver.set_num_shards(config_.engine_shards);
-        state.traces = driver.run();
+        state.traces = driver.run(pool);
         if (checkpoints) {
             std::ostringstream os;
             if (write_trace_snapshot(os, config_, state.traces)) {

@@ -1,5 +1,6 @@
 #include "study/trace_driver.hpp"
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 #include "sim/event_engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/intern.hpp"
+#include "util/parallel.hpp"
 #include "workload/noise_source.hpp"
 #include "workload/request_generator.hpp"
 
@@ -93,6 +95,19 @@ void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
     });
 }
 
+/// One vantage point's background traffic, off the engine's merge: a
+/// private clock and sniffer, so the lane shares no mutable state with the
+/// engine or with any other lane (DESIGN.md §16.2).
+struct NoiseLane {
+    NoiseLane(workload::VantagePoint& vp, sim::Rng rng)
+        : sniffer(vp.name),
+          source(clock, vp, sniffer, workload::NoiseSource::Config{}, rng) {}
+
+    sim::Simulator clock;
+    capture::Sniffer sniffer;
+    workload::NoiseSource source;
+};
+
 }  // namespace
 
 TraceDriver::TraceDriver(StudyDeployment& deployment,
@@ -100,6 +115,10 @@ TraceDriver::TraceDriver(StudyDeployment& deployment,
     : deployment_(&deployment), player_config_(player_config) {}
 
 TraceOutputs TraceDriver::run(sim::SimTime horizon) {
+    return run(util::shared_pool(), horizon);
+}
+
+TraceOutputs TraceDriver::run(util::ThreadPool& pool, sim::SimTime horizon) {
     auto& dep = *deployment_;
     const std::size_t n = dep.num_vantage_points();
     if (!sinks_.empty() && sinks_.size() != n) {
@@ -112,7 +131,7 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     std::vector<std::unique_ptr<capture::Sniffer>> sniffers;
     std::vector<std::unique_ptr<workload::Player>> players;
     std::vector<std::unique_ptr<workload::RequestGenerator>> generators;
-    std::vector<std::unique_ptr<workload::NoiseSource>> noise;
+    std::vector<std::unique_ptr<NoiseLane>> noise;
     sniffers.reserve(n);
     players.reserve(n);
     generators.reserve(n);
@@ -150,9 +169,7 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
             rng.fork("generator-" + vp.name)));
         // Background web traffic the DPI classifier must reject; it never
         // reaches the flow logs but keeps the capture path honest.
-        noise.push_back(std::make_unique<workload::NoiseSource>(
-            shard, vp, *sniffers.back(), workload::NoiseSource::Config{},
-            rng.fork("noise-" + vp.name)));
+        noise.push_back(std::make_unique<NoiseLane>(vp, rng.fork("noise-" + vp.name)));
     }
 
     // The fault injector (if any faults are scheduled) lives on shard 0, so
@@ -172,14 +189,37 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     }
 
     for (auto& g : generators) g->run(horizon);
-    for (auto& s : noise) s->run(horizon);
     // Let in-flight sessions (redirect chains, pause resumes) drain past the
     // capture horizon, like a real capture that sees flows end after the
     // last request started.
-    engine.run_until(horizon + 2.0 * sim::kHour);
+    const sim::SimTime drain = horizon + 2.0 * sim::kHour;
+    // Lane 0 is the engine, which runs every event that touches the shared
+    // CDN world; lane k is vantage point k-1's background traffic. Each
+    // lane owns disjoint state (noise reads only the VP census, which no
+    // one writes during a run), so the lanes run concurrently and the join
+    // below reads the same counts at any pool size.
+    std::vector<std::function<void()>> lanes;
+    lanes.reserve(n + 1);
+    lanes.emplace_back([&engine, drain] { engine.run_until(drain); });
+    for (const auto& lane : noise) {
+        lanes.emplace_back([lane = lane.get(), horizon, drain] {
+            lane->source.run(horizon);
+            lane->clock.run_until(drain);
+        });
+    }
+    pool.run_indexed(lanes.size(), [&lanes](std::size_t k) { lanes[k](); });
 
     TraceOutputs out;
     out.events_processed = engine.events_processed();
+    for (const auto& lane : noise) {
+        // A classified noise flow would reach neither a sink nor a dataset.
+        if (const auto accepted = lane->sniffer.flows_classified(); accepted != 0) {
+            throw std::logic_error("TraceDriver: the classifier accepted " +
+                                   std::to_string(accepted) + " background flows at " +
+                                   lane->sniffer.dataset_name());
+        }
+        out.events_processed += lane->clock.events_processed();
+    }
     out.faults_injected = injector ? injector->injected() : 0;
     out.datasets.reserve(n);
     // Join point for the per-VP interner shards: fold them in VP order into
@@ -187,8 +227,10 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     // (util::Interner merge protocol) and independent of capture details.
     util::Interner hostnames;
     for (std::size_t i = 0; i < n; ++i) {
-        out.flows_observed.push_back(sniffers[i]->flows_observed());
-        out.flows_ignored.push_back(sniffers[i]->flows_ignored());
+        out.flows_observed.push_back(sniffers[i]->flows_observed() +
+                                     noise[i]->sniffer.flows_observed());
+        out.flows_ignored.push_back(sniffers[i]->flows_ignored() +
+                                    noise[i]->sniffer.flows_ignored());
         (void)hostnames.merge_map(sniffers[i]->hosts());
         capture::Dataset ds;
         ds.name = dep.vantage(i).name;

@@ -9,6 +9,7 @@
 #include "sim/time.hpp"
 #include "sim/tracer.hpp"
 #include "study/deployment.hpp"
+#include "util/parallel.hpp"
 #include "workload/player.hpp"
 
 namespace ytcdn::study {
@@ -18,10 +19,13 @@ struct TraceOutputs {
     std::vector<capture::Dataset> datasets;         // one per vantage point
     std::vector<workload::Player::Stats> player_stats;
     std::vector<std::uint64_t> requests_generated;
-    /// Total flows the sniffer saw on the wire (YouTube + background noise)
-    /// and how many the DPI classifier rejected, per vantage point.
+    /// Total flows the vantage point's probe saw on the wire (YouTube +
+    /// background noise) and how many the DPI classifier rejected: the
+    /// video sniffer's counts plus the noise lane's sniffer's.
     std::vector<std::uint64_t> flows_observed;
     std::vector<std::uint64_t> flows_ignored;
+    /// Workload + background events: the engine's events plus every noise
+    /// lane's clock events (the same total at any pool or shard count).
     std::uint64_t events_processed = 0;
     /// Fault events injected from the config's schedule (0 on baselines).
     std::uint64_t faults_injected = 0;
@@ -37,9 +41,14 @@ struct TraceOutputs {
 /// dataset.
 ///
 /// The simulation runs on the sharded sim::EventEngine (DESIGN.md §16).
-/// Each vantage point's components (player, request generator, noise
-/// source, sniffer) live on shard `vp % num_shards`; the engine pops events
-/// across shards in global (time, shard) order. Cross-shard timestamp ties
+/// Each vantage point's YouTube components (player, request generator,
+/// video sniffer) live on shard `vp % num_shards`; the engine pops events
+/// across shards in global (time, shard) order. Background traffic lives on
+/// no shard: each vantage point's NoiseSource runs on its own private
+/// Simulator and Sniffer, as one pool lane beside the engine's (§16.2).
+/// Noise touches only its own RNG forks, the read-only VP census and its
+/// own sniffer, and no noise flow is ever classified, so running it off the
+/// merge moves no output byte. Cross-shard timestamp ties
 /// do not occur in this workload (event times are sums of continuous RNG
 /// draws; fault times are schedule constants on shard 0), so every output
 /// byte is the same at any shard count — the engine counts ties as
@@ -80,11 +89,18 @@ public:
     }
 
     /// Simulates `horizon` seconds (default: the paper's one week) and
-    /// returns the per-vantage-point datasets, sorted by time. Throws
+    /// returns the per-vantage-point datasets, sorted by time. The engine
+    /// and the vantage points' noise lanes run as `num_vantage_points() + 1`
+    /// tasks on `pool`; output is byte-identical at any pool size. Throws
     /// std::invalid_argument when the sink count differs from the
     /// vantage-point count, or when the fault schedule names an unknown
     /// data center, server or resolver — a chaos experiment aimed at a
-    /// typo must fail loudly, not run a clean baseline by accident.
+    /// typo must fail loudly, not run a clean baseline by accident. Throws
+    /// std::logic_error if the classifier accepted a background flow.
+    [[nodiscard]] TraceOutputs run(util::ThreadPool& pool,
+                                   sim::SimTime horizon = sim::kWeek);
+
+    /// run() on util::shared_pool(). Callers that hold a pool pass it.
     [[nodiscard]] TraceOutputs run(sim::SimTime horizon = sim::kWeek);
 
 private:

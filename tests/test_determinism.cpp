@@ -20,6 +20,7 @@
 #include "sim/tracer.hpp"
 #include "study/dc_map_builder.hpp"
 #include "study/report.hpp"
+#include "study/scale_run.hpp"
 #include "study/study_run.hpp"
 #include "study/supervisor.hpp"
 #include "util/io.hpp"
@@ -274,6 +275,70 @@ TEST(Determinism, EventEngineShardInvariance) {
             EXPECT_EQ(*ties_after - ties_before, 0u);
             EXPECT_EQ(run.traces.faults_injected, with_faults ? 4u : 0u);
             EXPECT_EQ(golden::digests_of(run, &tracer, pool), expected);
+        }
+    }
+}
+
+std::string render_scale_summary(const study::ScaleRunSummary& s) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "sessions " << s.sessions << " flows " << s.flows << " events " << s.events
+       << '\n';
+    for (const auto& v : s.vantage) {
+        os << v.name << " flows " << v.flows << " preferred " << v.preferred
+           << " np_bytes " << v.share.byte_fraction << " np_flows "
+           << v.share.flow_fraction << " corr " << v.load_correlation
+           << " redirected " << v.redirected_videos << '\n';
+    }
+    return os.str();
+}
+
+TEST(Determinism, NoiseLanesAreUnobservable) {
+    // Background traffic runs as one pool lane per vantage point beside the
+    // engine, on its own clock and sniffer. Where those lanes run is an
+    // execution detail: every pool size, at any shard count, with and
+    // without a fault schedule, must reproduce the digests recorded when
+    // noise still went through the engine's merge — datasets, counters
+    // (events, flows observed and ignored), the YTR1 trace and the report.
+    auto chaos = golden::config_at(0.02);
+    chaos.fault_schedule = golden::chaos_schedule();
+    for (const bool with_faults : {false, true}) {
+        auto cfg = with_faults ? chaos : golden::config_at(0.02);
+        const auto& expected =
+            with_faults ? golden::kScale002Faults : golden::kScale002;
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            ytcdn::util::ThreadPool pool(threads);
+            for (const std::size_t shards : {1u, 8u}) {
+                SCOPED_TRACE("faults=" + std::to_string(with_faults) + " threads=" +
+                             std::to_string(threads) + " shards=" +
+                             std::to_string(shards));
+                cfg.engine_shards = shards;
+                const std::uint64_t ties_before = cross_shard_ties().value_or(0);
+                sim::Tracer tracer;
+                const auto run = study::run_study(cfg, pool, &tracer);
+                EXPECT_EQ(cross_shard_ties().value_or(0) - ties_before, 0u);
+                EXPECT_EQ(golden::digests_of(run, &tracer, pool), expected);
+            }
+        }
+    }
+
+    // The out-of-core runner drives the same lanes on its own pool.
+    std::string reference;
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("scale run threads=" + std::to_string(threads));
+        study::ScaleRunConfig cfg;
+        cfg.study = golden::config_at(0.02);
+        cfg.spill_dir = std::filesystem::temp_directory_path() /
+                        ("ytcdn_det_noise_lanes_t" + std::to_string(threads));
+        ytcdn::util::ThreadPool pool(threads);
+        const auto summary = study::run_scale_study(cfg, pool);
+        std::filesystem::remove_all(cfg.spill_dir);
+        ASSERT_TRUE(summary.ok()) << summary.error().what();
+        const std::string text = render_scale_summary(summary.value());
+        if (reference.empty()) {
+            reference = text;
+        } else {
+            EXPECT_EQ(text, reference);
         }
     }
 }

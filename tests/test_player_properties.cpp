@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "analysis/session.hpp"
 #include "capture/dataset.hpp"
@@ -25,6 +28,26 @@ struct SweepPoint {
     double p_pause;
     int max_redirects;
 };
+
+/// A stable, readable id such as probe0_18_abort0_45_pause0_055_redir4. It
+/// names each case and prints its parameter: gtest would otherwise print
+/// the struct's raw bytes, padding included, and ctest would put them in
+/// the test names.
+std::string label(const SweepPoint& p) {
+    const auto number = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        std::string s = buf;
+        for (char& c : s) {
+            if (c == '.') c = '_';
+        }
+        return s;
+    };
+    return "probe" + number(p.p_probe) + "_abort" + number(p.p_abort) + "_pause" +
+           number(p.p_pause) + "_redir" + std::to_string(p.max_redirects);
+}
+
+void PrintTo(const SweepPoint& p, std::ostream* os) { *os << label(p); }
 
 class PlayerSweep : public ::testing::TestWithParam<SweepPoint> {
 protected:
@@ -133,6 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepPoint{0.0, 1.0, 0.0, 4}, SweepPoint{0.0, 0.0, 1.0, 4},
                       SweepPoint{0.5, 0.5, 0.5, 4}, SweepPoint{0.2, 0.8, 0.3, 1},
                       SweepPoint{0.18, 0.45, 0.055, 4},  // production defaults
-                      SweepPoint{1.0, 1.0, 1.0, 8}));
+                      SweepPoint{1.0, 1.0, 1.0, 8}),
+    [](const ::testing::TestParamInfo<SweepPoint>& info) { return label(info.param); });
 
 }  // namespace

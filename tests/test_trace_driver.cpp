@@ -8,8 +8,12 @@
 
 #include "analysis/session.hpp"
 #include "capture/binary_log.hpp"
+#include "capture/sniffer.hpp"
 #include "net/as_registry.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/simulator.hpp"
+#include "util/parallel.hpp"
+#include "workload/noise_source.hpp"
 
 namespace study = ytcdn::study;
 namespace capture = ytcdn::capture;
@@ -190,6 +194,39 @@ TEST(TraceDriver, StreamingSinksSeeTheExactMaterializedRecords) {
         EXPECT_EQ(a.str(), b.str()) << i;
     }
     EXPECT_EQ(streamed.unique_hosts, materialized.unique_hosts);
+}
+
+TEST(TraceDriver, IgnoredFlowsEqualAStandaloneNoiseReplay) {
+    // Each vantage point's background traffic runs on its own clock and
+    // sniffer beside the engine, and the join adds the lanes' counts to the
+    // engine's. A standalone replay of each noise stream — a private
+    // Simulator and Sniffer with the run's "noise-<vp>" fork — must account
+    // for every flow the run ignored, and the event total must equal the
+    // value recorded when noise still went through the engine's merge.
+    study::StudyDeployment dep(tiny_config());
+    ytcdn::util::ThreadPool pool(4);
+    const auto traces = study::TraceDriver(dep).run(pool);
+
+    const sim::Rng driver_rng = dep.root_rng().fork("trace-driver");
+    std::uint64_t replayed_events = 0;
+    for (std::size_t i = 0; i < dep.num_vantage_points(); ++i) {
+        auto& vp = dep.vantage(i);
+        SCOPED_TRACE(vp.name);
+        sim::Simulator clock;
+        capture::Sniffer sniffer(vp.name);
+        workload::NoiseSource noise(clock, vp, sniffer, workload::NoiseSource::Config{},
+                                    driver_rng.fork("noise-" + vp.name));
+        noise.run(sim::kWeek);
+        clock.run_until(sim::kWeek + 2.0 * sim::kHour);
+        replayed_events += clock.events_processed();
+        EXPECT_GT(noise.flows_emitted(), 0u);
+        EXPECT_EQ(sniffer.flows_ignored(), noise.flows_emitted());
+        EXPECT_EQ(traces.flows_ignored[i], sniffer.flows_ignored());
+        EXPECT_EQ(traces.flows_observed[i] - traces.flows_ignored[i],
+                  traces.datasets[i].records.size());
+    }
+    EXPECT_LT(replayed_events, traces.events_processed);
+    EXPECT_EQ(traces.events_processed, 51158u);
 }
 
 }  // namespace
