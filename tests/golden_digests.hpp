@@ -27,11 +27,13 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
+#include "analysis/session_table.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "capture/binary_log.hpp"
 #include "sim/fault_injector.hpp"
@@ -142,6 +144,49 @@ inline void put(std::ostream& os, const analysis::MultiFlowPatternShares& m) {
     os << "multi " << m.sessions << ' ' << m.share_of_all_sessions << ' '
        << m.all_preferred << ' ' << m.first_preferred_then_other << ' '
        << m.first_non_preferred;
+}
+/// A session grouping: the session count, then per session its client,
+/// video, start and flow rows (indices into the dataset's records) in order.
+inline void put(std::ostream& os, const analysis::SessionTable& t) {
+    os << "sessions " << t.num_sessions();
+    for (std::size_t s = 0; s < t.num_sessions(); ++s) {
+        os << '\n' << t.client[s].value() << ' ' << t.video[s].value() << ' '
+           << t.start[s] << " rows";
+        for (const auto row : t.flows_of(s)) os << ' ' << row;
+    }
+}
+/// Table I's four columns: flows, volume, distinct servers and clients.
+inline void put(std::ostream& os, const analysis::IncrementalSummary& s) {
+    os << "summary " << s.flows << ' ' << s.volume_gb() << ' ' << s.servers.size()
+       << ' ' << s.clients.size();
+}
+inline void put(std::ostream& os, const capture::DatasetSummary& s) {
+    os << "summary " << s.flows << ' ' << s.volume_gb << ' ' << s.distinct_servers
+       << ' ' << s.distinct_clients;
+}
+
+/// build_sessions' output in SessionTable form, so both groupings print
+/// through the same put().
+inline analysis::SessionTable as_table(const std::vector<analysis::VideoSession>& sessions,
+                                       const capture::Dataset& dataset) {
+    analysis::SessionTable t;
+    t.offsets.push_back(0);
+    for (const auto& s : sessions) {
+        for (const auto* f : s.flows) {
+            t.flow_rows.push_back(static_cast<std::uint32_t>(f - dataset.records.data()));
+        }
+        t.offsets.push_back(static_cast<std::uint32_t>(t.flow_rows.size()));
+        t.client.push_back(s.client);
+        t.video.push_back(s.video);
+        t.start.push_back(s.start());
+    }
+    return t;
+}
+
+inline analysis::IncrementalSummary incremental_summary(const capture::Dataset& dataset) {
+    analysis::IncrementalSummary s;
+    for (const auto& r : dataset.records) s.add(r);
+    return s;
 }
 
 /// Accumulates results, one per line, into the text a pinned digest covers.
@@ -353,6 +398,26 @@ inline constexpr Digest kRandomScanAnalyses{0x8ed167521b3ebc66ull, 14080};
 /// random_world(seed, 500) for seeds 11-15 at T = 1 s: session_patterns,
 /// multi_flow_patterns, flows_per_session_cdf.
 inline constexpr Digest kRandomSessionPatterns{0xf77d023ec0aef6faull, 1364};
+
+// Session groupings and Table I tallies, recorded from build_sessions and
+// Dataset::summary() before SessionTable::build and IncrementalSummary
+// became the only implementations. Each covers put(SessionTable) or
+// put(summary) over the named worlds.
+
+/// test_flow_table's nested-flow dataset (SessionTable.MatchesBuildSessions)
+/// at T = 1 s.
+inline constexpr Digest kNestedGapSessions{0x6feb79694b0c4140ull, 95};
+/// test_flow_table's random_world(seed, 400) for seeds 1-5 at T = 1 s.
+inline constexpr Digest kRandomWorldSessions{0xb2a09d9329416af2ull, 84924};
+/// The Table I summaries of the nested-flow dataset, then of those worlds.
+inline constexpr Digest kRandomWorldSummaries{0x84361e914fa11524ull, 221};
+/// test_session's hand-built Sessions.* datasets at the gaps their tests
+/// use, then SessionProperty's seeds 1-4 at T = 1, 5, 10, 60 and 300 s.
+inline constexpr Digest kHandBuiltSessions{0x480d04baff9edde3ull, 174130};
+/// The same datasets' Table I summaries.
+inline constexpr Digest kHandBuiltSummaries{0x13b060e93036bc5dull, 421};
+/// test_service's sample_records() Table I summary.
+inline constexpr Digest kServiceSampleSummary{0x09f92bee4aaa13b0ull, 37};
 
 // Decoder outcomes and codec bytes, recorded before the YFL2, YTR1 and
 // YFL1 decoders were reduced to one per format and the byte codecs to one.

@@ -79,16 +79,9 @@ RandomWorld random_world(std::uint64_t seed, std::size_t flows) {
     return w;
 }
 
-std::vector<int> dcs_of_session(const analysis::VideoSession& s,
-                                const analysis::ServerDcMap& map) {
-    std::vector<int> out;
-    for (const auto* f : s.flows) out.push_back(map.dc_of(f->server_ip));
-    return out;
-}
-
-TEST(SessionTable, MatchesBuildSessions) {
-    // Nested flows (long video flow outliving a control flow started after
-    // it) and a gap split, same (client, video) key throughout.
+/// Nested flows (a long video flow outliving a control flow started after
+/// it) and a gap split, same (client, video) key throughout.
+capture::Dataset nested_world() {
     capture::Dataset ds;
     ds.name = "S";
     ds.records.push_back(flow(1, 0, 0.0, 100.0, 5000, 1));   // long video flow
@@ -97,7 +90,18 @@ TEST(SessionTable, MatchesBuildSessions) {
     ds.records.push_back(flow(1, 3, 200.0, 201.0, 5000, 1)); // new session
     ds.records.push_back(flow(2, 0, 0.5, 3.0, 5000, 1));     // other client
     ds.sort_by_time();
+    return ds;
+}
 
+std::vector<int> dcs_of_session(const analysis::VideoSession& s,
+                                const analysis::ServerDcMap& map) {
+    std::vector<int> out;
+    for (const auto* f : s.flows) out.push_back(map.dc_of(f->server_ip));
+    return out;
+}
+
+TEST(SessionTable, MatchesBuildSessions) {
+    const auto ds = nested_world();
     const auto sessions = analysis::build_sessions(ds, 1.0);
     const auto csr = analysis::SessionTable::build(ds, 1.0);
 
@@ -112,13 +116,20 @@ TEST(SessionTable, MatchesBuildSessions) {
             EXPECT_EQ(&ds.records[rows[j]], sessions[s].flows[j]);
         }
     }
+    EXPECT_EQ(golden::ResultLog().add(golden::as_table(sessions, ds)).digest(),
+              golden::kNestedGapSessions);
+    EXPECT_EQ(golden::ResultLog().add(csr).digest(), golden::kNestedGapSessions);
 }
 
 TEST(SessionTable, RandomizedSessionEquivalence) {
+    golden::ResultLog reference;
+    golden::ResultLog table;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         const auto w = random_world(seed, 400);
         const auto sessions = analysis::build_sessions(w.dataset, 1.0);
         const auto csr = analysis::SessionTable::build(w.dataset, 1.0);
+        reference.add(golden::as_table(sessions, w.dataset));
+        table.add(csr);
 
         ASSERT_EQ(csr.num_sessions(), sessions.size()) << "seed " << seed;
         const auto dc = analysis::dc_column(w.dataset, w.map);
@@ -131,6 +142,23 @@ TEST(SessionTable, RandomizedSessionEquivalence) {
             }
         }
     }
+    EXPECT_EQ(reference.digest(), golden::kRandomWorldSessions);
+    EXPECT_EQ(table.digest(), golden::kRandomWorldSessions);
+}
+
+TEST(IncrementalSummary, RandomWorldsMatchPinnedDigest) {
+    golden::ResultLog reference;
+    golden::ResultLog incremental;
+    std::vector<capture::Dataset> worlds{nested_world()};
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        worlds.push_back(random_world(seed, 400).dataset);
+    }
+    for (const auto& ds : worlds) {
+        reference.add(ds.summary());
+        incremental.add(golden::incremental_summary(ds));
+    }
+    EXPECT_EQ(reference.digest(), golden::kRandomWorldSummaries);
+    EXPECT_EQ(incremental.digest(), golden::kRandomWorldSummaries);
 }
 
 TEST(SessionTable, PatternSharesMatchAoS) {

@@ -103,6 +103,8 @@ TEST(IncrementalSummary, MatchesBatchClosure) {
     EXPECT_EQ(inc.servers.size(), batch.distinct_servers);
     EXPECT_EQ(inc.clients.size(), batch.distinct_clients);
     EXPECT_DOUBLE_EQ(inc.volume_gb(), batch.volume_gb);
+    EXPECT_EQ(golden::ResultLog().add(batch).digest(), golden::kServiceSampleSummary);
+    EXPECT_EQ(golden::ResultLog().add(inc).digest(), golden::kServiceSampleSummary);
 }
 
 TEST(IncrementalSessions, MatchesBatchClosureOnSortedInput) {

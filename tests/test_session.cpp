@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "analysis/session_table.hpp"
+#include "golden_digests.hpp"
 #include "sim/random.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
+namespace golden = ytcdn::golden;
 namespace net = ytcdn::net;
 
 namespace {
@@ -37,40 +42,93 @@ TEST(FlowClassify, ThousandByteThreshold) {
     EXPECT_EQ(analysis::classify_flow_size(5'000'000), analysis::FlowKind::Video);
 }
 
-TEST(Sessions, GroupsSameClientVideoWithinGap) {
-    const auto ds = dataset({
+// The hand-built datasets of the Sessions.* tests, each with the gaps its
+// test groups it at. Some are deliberately out of time order.
+
+capture::Dataset within_gap() {
+    return dataset({
         flow(1, 100, 0.0, 10.0),
         flow(1, 100, 10.5, 20.0),  // gap 0.5 < 1 -> same session
     });
+}
+
+capture::Dataset large_gap() {
+    return dataset({
+        flow(1, 100, 0.0, 10.0),
+        flow(1, 100, 12.0, 20.0),  // gap 2 > 1 -> new session
+    });
+}
+
+capture::Dataset distinct_keys() {
+    return dataset({
+        flow(1, 100, 0.0, 10.0),
+        flow(1, 200, 0.1, 9.0),   // other video
+        flow(2, 100, 0.2, 9.5),   // other client
+    });
+}
+
+capture::Dataset overlapping() {
+    return dataset({
+        flow(1, 100, 0.0, 100.0),
+        flow(1, 100, 50.0, 60.0),  // fully nested
+        flow(1, 100, 99.5, 120.0),
+    });
+}
+
+capture::Dataset nested_control() {
+    return dataset({
+        flow(1, 100, 0.0, 100.0),  // long video flow
+        flow(1, 100, 1.0, 2.0),    // short control flow, ends early
+        flow(1, 100, 100.5, 110.0),
+    });
+}
+
+capture::Dataset reversed_pair() {
+    return dataset({
+        flow(1, 100, 5.0, 6.0),
+        flow(1, 100, 0.0, 4.5),
+    });
+}
+
+capture::Dataset unsorted_keys() {
+    return dataset({
+        flow(2, 200, 50.0, 60.0),
+        flow(1, 100, 0.0, 10.0),
+        flow(3, 300, 25.0, 30.0),
+    });
+}
+
+struct HandBuilt {
+    capture::Dataset ds;
+    std::vector<double> gaps;
+};
+
+std::vector<HandBuilt> hand_built() {
+    return {{within_gap(), {1.0}},     {large_gap(), {1.0, 5.0}},
+            {distinct_keys(), {10.0}}, {overlapping(), {1.0}},
+            {nested_control(), {1.0}}, {reversed_pair(), {1.0}},
+            {unsorted_keys(), {1.0}},  {dataset({}), {1.0}}};
+}
+
+TEST(Sessions, GroupsSameClientVideoWithinGap) {
+    const auto ds = within_gap();
     const auto sessions = analysis::build_sessions(ds, 1.0);
     ASSERT_EQ(sessions.size(), 1u);
     EXPECT_EQ(sessions[0].num_flows(), 2u);
 }
 
 TEST(Sessions, SplitsOnLargeGap) {
-    const auto ds = dataset({
-        flow(1, 100, 0.0, 10.0),
-        flow(1, 100, 12.0, 20.0),  // gap 2 > 1 -> new session
-    });
+    const auto ds = large_gap();
     EXPECT_EQ(analysis::build_sessions(ds, 1.0).size(), 2u);
     EXPECT_EQ(analysis::build_sessions(ds, 5.0).size(), 1u);  // larger T merges
 }
 
 TEST(Sessions, DifferentVideoOrClientNeverMerge) {
-    const auto ds = dataset({
-        flow(1, 100, 0.0, 10.0),
-        flow(1, 200, 0.1, 9.0),   // other video
-        flow(2, 100, 0.2, 9.5),   // other client
-    });
-    EXPECT_EQ(analysis::build_sessions(ds, 10.0).size(), 3u);
+    EXPECT_EQ(analysis::build_sessions(distinct_keys(), 10.0).size(), 3u);
 }
 
 TEST(Sessions, OverlappingFlowsAreOneSession) {
-    const auto ds = dataset({
-        flow(1, 100, 0.0, 100.0),
-        flow(1, 100, 50.0, 60.0),  // fully nested
-        flow(1, 100, 99.5, 120.0),
-    });
+    const auto ds = overlapping();
     const auto sessions = analysis::build_sessions(ds, 1.0);
     ASSERT_EQ(sessions.size(), 1u);
     EXPECT_EQ(sessions[0].num_flows(), 3u);
@@ -79,19 +137,11 @@ TEST(Sessions, OverlappingFlowsAreOneSession) {
 TEST(Sessions, NestedFlowDoesNotShortenHorizon) {
     // A short control flow inside a long video flow must not cause a split
     // when the next flow starts within T of the *latest* end seen so far.
-    const auto ds = dataset({
-        flow(1, 100, 0.0, 100.0),  // long video flow
-        flow(1, 100, 1.0, 2.0),    // short control flow, ends early
-        flow(1, 100, 100.5, 110.0),
-    });
-    EXPECT_EQ(analysis::build_sessions(ds, 1.0).size(), 1u);
+    EXPECT_EQ(analysis::build_sessions(nested_control(), 1.0).size(), 1u);
 }
 
 TEST(Sessions, FlowsSortedWithinSession) {
-    const auto ds = dataset({
-        flow(1, 100, 5.0, 6.0),
-        flow(1, 100, 0.0, 4.5),
-    });
+    const auto ds = reversed_pair();
     const auto sessions = analysis::build_sessions(ds, 1.0);
     ASSERT_EQ(sessions.size(), 1u);
     EXPECT_DOUBLE_EQ(sessions[0].flows[0]->start, 0.0);
@@ -99,11 +149,7 @@ TEST(Sessions, FlowsSortedWithinSession) {
 }
 
 TEST(Sessions, OutputSortedByStartTime) {
-    const auto ds = dataset({
-        flow(2, 200, 50.0, 60.0),
-        flow(1, 100, 0.0, 10.0),
-        flow(3, 300, 25.0, 30.0),
-    });
+    const auto ds = unsorted_keys();
     const auto sessions = analysis::build_sessions(ds, 1.0);
     ASSERT_EQ(sessions.size(), 3u);
     EXPECT_LT(sessions[0].start(), sessions[1].start());
@@ -151,12 +197,10 @@ TEST(ResolutionBreakdown, EmptyDatasetIsAllZero) {
     }
 }
 
-/// Property: total flows across sessions equals dataset flows; smaller T
-/// never produces fewer sessions.
-class SessionProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SessionProperty, ConservationAndMonotonicity) {
-    ytcdn::sim::Rng rng(GetParam());
+/// SessionProperty's random dataset: 400 flows over 5 clients and 10
+/// videos, durations up to 300 s.
+capture::Dataset property_dataset(std::uint64_t seed) {
+    ytcdn::sim::Rng rng(seed);
     std::vector<capture::FlowRecord> records;
     for (int i = 0; i < 400; ++i) {
         const double start = rng.uniform(0.0, 3000.0);
@@ -164,9 +208,20 @@ TEST_P(SessionProperty, ConservationAndMonotonicity) {
                                rng.uniform_index(10), start,
                                start + rng.uniform(0.1, 300.0)));
     }
-    const auto ds = dataset(std::move(records));
+    return dataset(std::move(records));
+}
+
+constexpr double kPropertyGaps[] = {1.0, 5.0, 10.0, 60.0, 300.0};
+constexpr std::uint64_t kPropertySeeds[] = {1, 2, 3, 4};
+
+/// Property: total flows across sessions equals dataset flows; smaller T
+/// never produces fewer sessions.
+class SessionProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SessionProperty, ConservationAndMonotonicity) {
+    const auto ds = property_dataset(GetParam());
     std::size_t prev_sessions = SIZE_MAX;
-    for (const double t : {1.0, 5.0, 10.0, 60.0, 300.0}) {
+    for (const double t : kPropertyGaps) {
         const auto sessions = analysis::build_sessions(ds, t);
         std::size_t flows = 0;
         for (const auto& s : sessions) flows += s.num_flows();
@@ -182,6 +237,38 @@ TEST_P(SessionProperty, ConservationAndMonotonicity) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SessionProperty, ::testing::Values(1u, 2u, 3u, 4u));
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionProperty, ::testing::ValuesIn(kPropertySeeds));
+
+TEST(Sessions, GroupingsMatchPinnedDigest) {
+    golden::ResultLog reference;
+    golden::ResultLog table;
+    const auto add = [&](const capture::Dataset& ds, double gap) {
+        reference.add(golden::as_table(analysis::build_sessions(ds, gap), ds));
+        table.add(analysis::SessionTable::build(ds, gap));
+    };
+    for (const auto& h : hand_built()) {
+        for (const double gap : h.gaps) add(h.ds, gap);
+    }
+    for (const auto seed : kPropertySeeds) {
+        const auto ds = property_dataset(seed);
+        for (const double gap : kPropertyGaps) add(ds, gap);
+    }
+    EXPECT_EQ(reference.digest(), golden::kHandBuiltSessions);
+    EXPECT_EQ(table.digest(), golden::kHandBuiltSessions);
+}
+
+TEST(IncrementalSummary, HandBuiltDatasetsMatchPinnedDigest) {
+    golden::ResultLog reference;
+    golden::ResultLog incremental;
+    std::vector<capture::Dataset> datasets;
+    for (auto& h : hand_built()) datasets.push_back(std::move(h.ds));
+    for (const auto seed : kPropertySeeds) datasets.push_back(property_dataset(seed));
+    for (const auto& ds : datasets) {
+        reference.add(ds.summary());
+        incremental.add(golden::incremental_summary(ds));
+    }
+    EXPECT_EQ(reference.digest(), golden::kHandBuiltSummaries);
+    EXPECT_EQ(incremental.digest(), golden::kHandBuiltSummaries);
+}
 
 }  // namespace
