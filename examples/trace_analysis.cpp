@@ -9,7 +9,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "analysis/preferred_dc.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
@@ -40,20 +40,22 @@ int main(int argc, char** argv) {
     dataset.sort_by_time();
     std::cout << "Re-loaded " << dataset.records.size() << " records\n\n";
 
-    const auto summary = dataset.summary();
+    const auto summary = analysis::summarize(dataset);
     std::cout << "flows=" << summary.flows << " volume="
-              << analysis::fmt(summary.volume_gb, 2) << " GB servers="
-              << summary.distinct_servers << " clients=" << summary.distinct_clients
+              << analysis::fmt(summary.volume_gb(), 2) << " GB servers="
+              << summary.servers.size() << " clients=" << summary.clients.size()
               << "\n\n";
 
     const auto& map = run.maps[idx];
-    const int preferred = analysis::preferred_dc(dataset, map);
+    const auto dc = analysis::dc_column(dataset, map);
+    const auto traffic =
+        analysis::fold_dataset(dataset, dc, analysis::IncrementalDcTraffic{});
+    const int preferred = traffic.preferred(map);
     std::cout << "Preferred data center: " << map.info(preferred).name << " ("
               << analysis::fmt(map.info(preferred).rtt_ms, 1) << " ms)\n";
 
     const auto sessions = analysis::SessionTable::build(dataset, 1.0);
-    const auto patterns = analysis::session_patterns(
-        sessions, analysis::dc_column(dataset, map), preferred);
+    const auto patterns = analysis::session_patterns(sessions, dc, preferred);
     analysis::AsciiTable t({"metric", "value"});
     t.add_row({"sessions", std::to_string(patterns.total_sessions)});
     t.add_row({"single-flow %", analysis::fmt_pct(patterns.single_flow, 1)});
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
                analysis::fmt_pct(patterns.single_non_preferred, 1)});
     t.add_row({"two-flow (pref,nonpref) %",
                analysis::fmt_pct(patterns.two_pref_nonpref, 1)});
-    const auto share = analysis::non_preferred_share(dataset, map, preferred);
+    const auto share = traffic.share(preferred);
     t.add_row({"non-preferred byte %", analysis::fmt_pct(share.byte_fraction, 1)});
     std::cout << t;
 

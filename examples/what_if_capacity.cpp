@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/table.hpp"
@@ -42,7 +43,7 @@ Outcome evaluate(double scale, double rate_factor, double demand_multiplier) {
             out.peak_hour_local = series.fraction_preferred.points[h].second;
         }
     }
-    out.external_gb = ds.summary().volume_gb * share.byte_fraction;
+    out.external_gb = analysis::summarize(ds).volume_gb() * share.byte_fraction;
     return out;
 }
 

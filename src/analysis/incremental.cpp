@@ -15,6 +15,12 @@ void IncrementalSummary::add(const capture::FlowRecord& r) {
     server_slash24s.insert(r.server_ip.slash24().value());
 }
 
+IncrementalSummary summarize(const capture::Dataset& dataset) {
+    IncrementalSummary s;
+    for (const auto& r : dataset.records) s.add(r);
+    return s;
+}
+
 void IncrementalSessions::close_into_histogram(std::uint32_t flows) {
     const std::size_t bucket =
         std::min<std::size_t>(flows, kMaxBucket);
@@ -22,9 +28,9 @@ void IncrementalSessions::close_into_histogram(std::uint32_t flows) {
 }
 
 void IncrementalSessions::evict_stale() {
-    // In-order input can never extend a session whose last end is more than
-    // the gap behind the newest timestamp seen, so closing those early is
-    // exactly what the batch closure would eventually do.
+    // Closes sessions whose last end is more than the gap behind the newest
+    // flow end seen. Start-ordered input can still extend such a session
+    // when a later flow starts before that horizon (see the header).
     const double horizon = watermark_ - gap_;
     for (auto it = open_.begin(); it != open_.end();) {
         if (it->second.last_end < horizon) {

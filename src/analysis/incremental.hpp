@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/dc_map.hpp"
+#include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
 
 namespace ytcdn::analysis {
@@ -21,8 +22,9 @@ namespace ytcdn::analysis {
 /// in unordered containers is only ever *counted* or encoded sorted, so
 /// rendered output and checkpoint payloads stay byte-deterministic.
 
-/// Table I inputs: flows, volume, distinct servers/clients. Memory is
-/// bounded by the number of distinct addresses, not the number of flows.
+/// Table I: flows, volume, distinct servers/clients — the one tally behind
+/// the report's Table I, `ytcdn summary` and ytcdnd. Memory is bounded by
+/// the number of distinct addresses, not the number of flows.
 struct IncrementalSummary {
     std::uint64_t flows = 0;
     std::uint64_t video_flows = 0;  // >= kControlFlowMaxBytes (Section VI)
@@ -38,17 +40,25 @@ struct IncrementalSummary {
     }
 };
 
-/// Streaming variant of build_sessions: the same (client IP, VideoID) key
-/// and the same gap rule (a flow extends the session when it starts within
-/// `gap_T_s` of the session's last end, Section VI-A), but producing a
-/// flows-per-session histogram instead of materialized sessions.
+/// IncrementalSummary over every record of `dataset`.
+[[nodiscard]] IncrementalSummary summarize(const capture::Dataset& dataset);
+
+/// Streaming variant of SessionTable::build: the same (client IP, VideoID)
+/// key and the same gap rule (a flow extends the session when it starts
+/// within `gap_T_s` of the session's last end, Section VI-A), but producing
+/// a flows-per-session histogram instead of materialized sessions, so the
+/// daemon never retains flows.
 ///
 /// Sessions close three ways: the gap is exceeded by a same-key flow, the
 /// open set outgrows `max_open` and a watermark sweep closes everything
-/// whose last end is more than the gap behind the newest timestamp seen
-/// (those can never be extended by in-order input), or close_all() at
-/// shutdown/render. Equals the batch closure exactly when each stream's
-/// flows arrive in start-time order — which the spool replay guarantees.
+/// whose last end is more than the gap behind the newest flow end seen, or
+/// close_all() at shutdown/render. On start-ordered input (which the spool
+/// replay guarantees) the histogram equals SessionTable::build's only while
+/// no sweep runs. The sweep's watermark is the newest flow *end*, but on
+/// start-ordered input only the newest *start* bounds later flows, so a
+/// sweep can close a session that a later flow would have extended and
+/// count it as two (DESIGN.md §15.2 gives a minimal case and the count on
+/// the service_ingest spool).
 class IncrementalSessions {
 public:
     explicit IncrementalSessions(double gap_T_s = 1.0,

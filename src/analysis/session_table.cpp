@@ -5,12 +5,11 @@
 namespace ytcdn::analysis {
 
 SessionTable SessionTable::build(const capture::Dataset& dataset, double gap_T_s) {
-    // One global sort replaces build_sessions' hash-group-then-sort: records
-    // of the same (client, video) key become contiguous, ordered by (start,
-    // end) within the key exactly as build_sessions orders its flows. The
-    // record-index tiebreak makes the permutation deterministic. Sorting
-    // compact keys rather than indices keeps each comparison on one
-    // contiguous key instead of two record lookups.
+    // One global sort: records of the same (client, video) key become
+    // contiguous, ordered by (start, end) within the key. The record-index
+    // tiebreak makes the permutation deterministic. Sorting compact keys
+    // rather than indices keeps each comparison on one contiguous key
+    // instead of two record lookups.
     struct Key {
         net::IpAddress client;
         std::uint32_t row;
@@ -35,8 +34,7 @@ SessionTable SessionTable::build(const capture::Dataset& dataset, double gap_T_s
     });
 
     // Sessions are contiguous slices [lo, hi) of `keys`; collect the slice
-    // bounds, then order sessions by (start, client, video) like
-    // build_sessions does.
+    // bounds, then order sessions by (start, client, video).
     struct Slice {
         sim::SimTime start;
         net::IpAddress client;
@@ -54,7 +52,8 @@ SessionTable SessionTable::build(const capture::Dataset& dataset, double gap_T_s
             ++key_end;
         }
         // Split the key's run at gaps, tracking the furthest end seen so
-        // far (flows can nest — see build_sessions).
+        // far: flows can nest (a long video flow can outlive a short
+        // control flow started after it).
         std::size_t lo = i;
         double horizon = keys[i].end;
         for (std::size_t j = i + 1; j < key_end; ++j) {

@@ -10,13 +10,16 @@ namespace ytcdn::analysis {
 
 /// Compressed-sparse-row view of a dataset's video sessions: session s owns
 /// the records dataset.records[flow_rows[offsets[s] .. offsets[s+1])], in
-/// start-time order.
+/// (start, end) order.
 ///
-/// Semantics match build_sessions exactly — same grouping key (client IP,
-/// VideoID), same gap threshold, same (start, client, video) session order —
-/// without the per-session pointer vectors (one index array and one offset
-/// array replace ~a million small allocations at paper scale). The session
-/// analyses (analysis/session_analysis.hpp) and Fig. 16 read this table.
+/// A video session is "all flows that i) have the same source IP address
+/// and VideoID, and ii) are overlapped in time", where two flows overlap if
+/// the gap between the end of one and the start of the next is below T
+/// (Section VI-A). Sessions are ordered by (start, client, video). One
+/// index array and one offset array hold every session, so grouping costs
+/// no per-session allocation. The session analyses
+/// (analysis/session_analysis.hpp), Fig. 16 and `ytcdn sessions` read this
+/// table; tests/golden_digests.hpp pins its output.
 struct SessionTable {
     std::vector<std::uint32_t> offsets;    // num_sessions() + 1 entries
     std::vector<std::uint32_t> flow_rows;  // indices into dataset.records

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analysis/as_analysis.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/series.hpp"
@@ -43,9 +44,9 @@ analysis::AsciiTable make_table1(const StudyRun& run) {
                             "paper:Flows", "paper:GB", "paper:Srv", "paper:Cli"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& ds = run.traces.datasets[i];
-        const auto s = ds.summary();
-        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb, 2),
-                   std::to_string(s.distinct_servers), std::to_string(s.distinct_clients),
+        const auto s = analysis::summarize(ds);
+        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
+                   std::to_string(s.servers.size()), std::to_string(s.clients.size()),
                    kPaperTable1[i].flows, kPaperTable1[i].volume_gb,
                    kPaperTable1[i].servers, kPaperTable1[i].clients});
     }

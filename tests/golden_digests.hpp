@@ -2,7 +2,8 @@
 
 // Golden digests of the simulator's paper-facing outputs: the rendered full
 // report, the per-vantage-point YFL2 flow logs with their counters, the
-// YTR1 structured trace, and the §VI-VII analysis functions' results; and
+// YTR1 structured trace, Table I tallies and session groupings, and the
+// §VI-VII analysis functions' results; and
 // of the on-disk formats' decoders and encoders: every outcome of the YFL2
 // and YTR1 readers on damaged input, the YSS2 snapshot, YCK1 checkpoints
 // and the ytcdnd aggregate and checkpoint bytes. Each constant is a 64-bit
@@ -11,7 +12,8 @@
 // Most were recorded from the reference paths the repository used to carry
 // — the single-queue simulation driver (one sim::Simulator for every
 // vantage point), the AoS record-walk report and analyses, the FlowTable
-// column scans and the VideoSession pattern functions — immediately before
+// column scans, the VideoSession pattern functions, the build_sessions
+// grouping and the Dataset::summary() Table I tally — immediately before
 // those paths were deleted. The sharded event engine, the report and the
 // one remaining implementation of each analysis are checked against them,
 // so the equivalence evidence outlives the code it compared against. A
@@ -159,34 +161,6 @@ inline void put(std::ostream& os, const analysis::SessionTable& t) {
 inline void put(std::ostream& os, const analysis::IncrementalSummary& s) {
     os << "summary " << s.flows << ' ' << s.volume_gb() << ' ' << s.servers.size()
        << ' ' << s.clients.size();
-}
-inline void put(std::ostream& os, const capture::DatasetSummary& s) {
-    os << "summary " << s.flows << ' ' << s.volume_gb << ' ' << s.distinct_servers
-       << ' ' << s.distinct_clients;
-}
-
-/// build_sessions' output in SessionTable form, so both groupings print
-/// through the same put().
-inline analysis::SessionTable as_table(const std::vector<analysis::VideoSession>& sessions,
-                                       const capture::Dataset& dataset) {
-    analysis::SessionTable t;
-    t.offsets.push_back(0);
-    for (const auto& s : sessions) {
-        for (const auto* f : s.flows) {
-            t.flow_rows.push_back(static_cast<std::uint32_t>(f - dataset.records.data()));
-        }
-        t.offsets.push_back(static_cast<std::uint32_t>(t.flow_rows.size()));
-        t.client.push_back(s.client);
-        t.video.push_back(s.video);
-        t.start.push_back(s.start());
-    }
-    return t;
-}
-
-inline analysis::IncrementalSummary incremental_summary(const capture::Dataset& dataset) {
-    analysis::IncrementalSummary s;
-    for (const auto& r : dataset.records) s.add(r);
-    return s;
 }
 
 /// Accumulates results, one per line, into the text a pinned digest covers.
@@ -401,8 +375,9 @@ inline constexpr Digest kRandomSessionPatterns{0xf77d023ec0aef6faull, 1364};
 
 // Session groupings and Table I tallies, recorded from build_sessions and
 // Dataset::summary() before SessionTable::build and IncrementalSummary
-// became the only implementations. Each covers put(SessionTable) or
-// put(summary) over the named worlds.
+// became the only implementations. Each is a ResultLog of put(SessionTable)
+// or put(IncrementalSummary) over the named worlds; the deleted paths'
+// results were printed in the same text form.
 
 /// test_flow_table's nested-flow dataset (SessionTable.MatchesBuildSessions)
 /// at T = 1 s.

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/incremental.hpp"
 #include "capture/classifier.hpp"
 #include "capture/dataset.hpp"
 #include "capture/flow_log.hpp"
@@ -125,11 +126,11 @@ TEST(Dataset, SummaryAggregates) {
         sniffer.observe(f);
     }
     ds.records = sniffer.take_records();
-    const auto s = ds.summary();
+    const auto s = ytcdn::analysis::summarize(ds);
     EXPECT_EQ(s.flows, 3u);
-    EXPECT_EQ(s.distinct_clients, 2u);
-    EXPECT_EQ(s.distinct_servers, 3u);
-    EXPECT_NEAR(s.volume_gb, 3e-3, 1e-9);
+    EXPECT_EQ(s.clients.size(), 2u);
+    EXPECT_EQ(s.servers.size(), 3u);
+    EXPECT_NEAR(s.volume_gb(), 3e-3, 1e-9);
 }
 
 TEST(Dataset, SortByTimeOrders) {

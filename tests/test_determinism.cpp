@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/geo_analysis.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/series.hpp"
 #include "geo/city.hpp"
@@ -182,8 +183,8 @@ TEST(Determinism, DifferentSeedsProduceDifferentTraces) {
     const auto b = study::run_study(small_config(2));
     // Same magnitudes...
     ASSERT_EQ(a.traces.datasets.size(), b.traces.datasets.size());
-    const auto sa = a.traces.datasets[0].summary();
-    const auto sb = b.traces.datasets[0].summary();
+    const auto sa = analysis::summarize(a.traces.datasets[0]);
+    const auto sb = analysis::summarize(b.traces.datasets[0]);
     EXPECT_NEAR(static_cast<double>(sa.flows), static_cast<double>(sb.flows),
                 static_cast<double>(sa.flows) * 0.2);
     // ...but different flows.

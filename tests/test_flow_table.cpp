@@ -1,12 +1,15 @@
-// The CSR SessionTable must group exactly like the reference build_sessions,
-// and every §VI-VII analysis must reproduce, on randomized datasets, the
-// digests recorded from the implementations it replaced: the AoS record
-// walks, the FlowTable column scans and the VideoSession pattern functions.
+// The CSR SessionTable and every §VI-VII analysis must reproduce, on
+// randomized datasets, the digests recorded from the implementations they
+// replaced: the build_sessions grouping, the Dataset::summary() Table I
+// tally, the AoS record walks, the FlowTable column scans and the
+// VideoSession pattern functions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"
@@ -93,71 +96,59 @@ capture::Dataset nested_world() {
     return ds;
 }
 
-std::vector<int> dcs_of_session(const analysis::VideoSession& s,
-                                const analysis::ServerDcMap& map) {
-    std::vector<int> out;
-    for (const auto* f : s.flows) out.push_back(map.dc_of(f->server_ip));
-    return out;
-}
-
 TEST(SessionTable, MatchesBuildSessions) {
+    // Pinned to build_sessions' grouping of this dataset. Sorted, the rows
+    // are (0, 100) c1, (0.5, 3) c2, (1, 2) c1, (100.5, 101) c1, (200, 201) c1.
     const auto ds = nested_world();
-    const auto sessions = analysis::build_sessions(ds, 1.0);
     const auto csr = analysis::SessionTable::build(ds, 1.0);
 
-    ASSERT_EQ(csr.num_sessions(), sessions.size());
-    for (std::size_t s = 0; s < sessions.size(); ++s) {
-        EXPECT_EQ(csr.client[s], sessions[s].client);
-        EXPECT_EQ(csr.video[s], sessions[s].video);
-        EXPECT_DOUBLE_EQ(csr.start[s], sessions[s].start());
-        const auto rows = csr.flows_of(s);
-        ASSERT_EQ(rows.size(), sessions[s].flows.size());
-        for (std::size_t j = 0; j < rows.size(); ++j) {
-            EXPECT_EQ(&ds.records[rows[j]], sessions[s].flows[j]);
-        }
+    ASSERT_EQ(csr.num_sessions(), 3u);
+    const std::vector<std::vector<std::uint32_t>> rows{{0, 2, 3}, {1}, {4}};
+    const std::uint8_t clients[] = {1, 2, 1};
+    const double starts[] = {0.0, 0.5, 200.0};
+    for (std::size_t s = 0; s < 3; ++s) {
+        EXPECT_EQ(csr.client[s], net::IpAddress::from_octets(10, 0, 0, clients[s]));
+        EXPECT_EQ(csr.video[s], cdn::VideoId{1});
+        EXPECT_DOUBLE_EQ(csr.start[s], starts[s]);
+        const auto got = csr.flows_of(s);
+        EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), rows[s]);
     }
-    EXPECT_EQ(golden::ResultLog().add(golden::as_table(sessions, ds)).digest(),
-              golden::kNestedGapSessions);
     EXPECT_EQ(golden::ResultLog().add(csr).digest(), golden::kNestedGapSessions);
 }
 
 TEST(SessionTable, RandomizedSessionEquivalence) {
-    golden::ResultLog reference;
+    // Pinned to build_sessions' grouping of these worlds; each session's
+    // rows carry its key, and the sessions partition the records.
     golden::ResultLog table;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         const auto w = random_world(seed, 400);
-        const auto sessions = analysis::build_sessions(w.dataset, 1.0);
         const auto csr = analysis::SessionTable::build(w.dataset, 1.0);
-        reference.add(golden::as_table(sessions, w.dataset));
         table.add(csr);
 
-        ASSERT_EQ(csr.num_sessions(), sessions.size()) << "seed " << seed;
-        const auto dc = analysis::dc_column(w.dataset, w.map);
-        for (std::size_t s = 0; s < sessions.size(); ++s) {
-            const auto aos_dcs = dcs_of_session(sessions[s], w.map);
-            const auto rows = csr.flows_of(s);
-            ASSERT_EQ(rows.size(), aos_dcs.size()) << "seed " << seed;
-            for (std::size_t j = 0; j < rows.size(); ++j) {
-                EXPECT_EQ(dc[rows[j]], aos_dcs[j]) << "seed " << seed;
+        std::vector<int> seen(w.dataset.records.size(), 0);
+        for (std::size_t s = 0; s < csr.num_sessions(); ++s) {
+            for (const auto row : csr.flows_of(s)) {
+                const auto& r = w.dataset.records[row];
+                EXPECT_EQ(r.client_ip, csr.client[s]) << "seed " << seed;
+                EXPECT_EQ(r.video, csr.video[s]) << "seed " << seed;
+                ++seen[row];
             }
         }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                  static_cast<std::ptrdiff_t>(seen.size()))
+            << "seed " << seed;
     }
-    EXPECT_EQ(reference.digest(), golden::kRandomWorldSessions);
     EXPECT_EQ(table.digest(), golden::kRandomWorldSessions);
 }
 
 TEST(IncrementalSummary, RandomWorldsMatchPinnedDigest) {
-    golden::ResultLog reference;
+    // Pinned to Dataset::summary() of the same worlds.
     golden::ResultLog incremental;
     std::vector<capture::Dataset> worlds{nested_world()};
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         worlds.push_back(random_world(seed, 400).dataset);
     }
-    for (const auto& ds : worlds) {
-        reference.add(ds.summary());
-        incremental.add(golden::incremental_summary(ds));
-    }
-    EXPECT_EQ(reference.digest(), golden::kRandomWorldSummaries);
+    for (const auto& ds : worlds) incremental.add(analysis::summarize(ds));
     EXPECT_EQ(incremental.digest(), golden::kRandomWorldSummaries);
 }
 

@@ -12,7 +12,7 @@
 
 #include "analysis/dc_map.hpp"
 #include "analysis/incremental.hpp"
-#include "analysis/session.hpp"
+#include "analysis/session_table.hpp"
 #include "capture/dataset.hpp"
 #include "capture/log_io.hpp"
 #include "golden_digests.hpp"
@@ -92,18 +92,20 @@ analysis::ServerDcMap two_dc_map() {
 }  // namespace
 
 TEST(IncrementalSummary, MatchesBatchClosure) {
-    capture::Dataset ds;
-    ds.records = sample_records();
-    const auto batch = ds.summary();
-
+    // Pinned to Dataset::summary() of the same records: 40 flows from 7
+    // clients to 10 servers (i % 2 picks the /24, i % 5 the host).
+    const auto records = sample_records();
     analysis::IncrementalSummary inc;
-    for (const auto& r : ds.records) inc.add(r);
+    std::uint64_t bytes = 0;
+    for (const auto& r : records) {
+        inc.add(r);
+        bytes += r.bytes;
+    }
 
-    EXPECT_EQ(inc.flows, batch.flows);
-    EXPECT_EQ(inc.servers.size(), batch.distinct_servers);
-    EXPECT_EQ(inc.clients.size(), batch.distinct_clients);
-    EXPECT_DOUBLE_EQ(inc.volume_gb(), batch.volume_gb);
-    EXPECT_EQ(golden::ResultLog().add(batch).digest(), golden::kServiceSampleSummary);
+    EXPECT_EQ(inc.flows, records.size());
+    EXPECT_EQ(inc.servers.size(), 10u);
+    EXPECT_EQ(inc.clients.size(), 7u);
+    EXPECT_DOUBLE_EQ(inc.volume_gb(), static_cast<double>(bytes) / 1e9);
     EXPECT_EQ(golden::ResultLog().add(inc).digest(), golden::kServiceSampleSummary);
 }
 
@@ -111,15 +113,17 @@ TEST(IncrementalSessions, MatchesBatchClosureOnSortedInput) {
     capture::Dataset ds;
     ds.records = sample_records();
     ds.sort_by_time();
-    const auto batch = analysis::build_sessions(ds, 1.0);
+    const auto batch = analysis::SessionTable::build(ds, 1.0);
 
     analysis::IncrementalSessions inc(1.0);
     for (const auto& r : ds.records) inc.add(r);
     inc.close_all();
 
-    EXPECT_EQ(inc.sessions_closed(), batch.size());
+    EXPECT_EQ(inc.sessions_closed(), batch.num_sessions());
     std::uint64_t batch_multi = 0;
-    for (const auto& s : batch) batch_multi += s.num_flows() > 1 ? 1 : 0;
+    for (std::size_t s = 0; s < batch.num_sessions(); ++s) {
+        batch_multi += batch.flows_of(s).size() > 1 ? 1 : 0;
+    }
     EXPECT_EQ(inc.multi_flow_sessions(), batch_multi);
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "analysis/incremental.hpp"
 #include "analysis/session_table.hpp"
 #include "golden_digests.hpp"
 #include "sim/random.hpp"
@@ -13,6 +14,7 @@ namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
 namespace golden = ytcdn::golden;
 namespace net = ytcdn::net;
+using ytcdn::analysis::SessionTable;
 
 namespace {
 
@@ -111,53 +113,50 @@ std::vector<HandBuilt> hand_built() {
 }
 
 TEST(Sessions, GroupsSameClientVideoWithinGap) {
-    const auto ds = within_gap();
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 1u);
-    EXPECT_EQ(sessions[0].num_flows(), 2u);
+    const auto sessions = SessionTable::build(within_gap(), 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 1u);
+    EXPECT_EQ(sessions.flows_of(0).size(), 2u);
 }
 
 TEST(Sessions, SplitsOnLargeGap) {
     const auto ds = large_gap();
-    EXPECT_EQ(analysis::build_sessions(ds, 1.0).size(), 2u);
-    EXPECT_EQ(analysis::build_sessions(ds, 5.0).size(), 1u);  // larger T merges
+    EXPECT_EQ(SessionTable::build(ds, 1.0).num_sessions(), 2u);
+    EXPECT_EQ(SessionTable::build(ds, 5.0).num_sessions(), 1u);  // larger T merges
 }
 
 TEST(Sessions, DifferentVideoOrClientNeverMerge) {
-    EXPECT_EQ(analysis::build_sessions(distinct_keys(), 10.0).size(), 3u);
+    EXPECT_EQ(SessionTable::build(distinct_keys(), 10.0).num_sessions(), 3u);
 }
 
 TEST(Sessions, OverlappingFlowsAreOneSession) {
-    const auto ds = overlapping();
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 1u);
-    EXPECT_EQ(sessions[0].num_flows(), 3u);
+    const auto sessions = SessionTable::build(overlapping(), 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 1u);
+    EXPECT_EQ(sessions.flows_of(0).size(), 3u);
 }
 
 TEST(Sessions, NestedFlowDoesNotShortenHorizon) {
     // A short control flow inside a long video flow must not cause a split
     // when the next flow starts within T of the *latest* end seen so far.
-    EXPECT_EQ(analysis::build_sessions(nested_control(), 1.0).size(), 1u);
+    EXPECT_EQ(SessionTable::build(nested_control(), 1.0).num_sessions(), 1u);
 }
 
 TEST(Sessions, FlowsSortedWithinSession) {
     const auto ds = reversed_pair();
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 1u);
-    EXPECT_DOUBLE_EQ(sessions[0].flows[0]->start, 0.0);
-    EXPECT_DOUBLE_EQ(sessions[0].start(), 0.0);
+    const auto sessions = SessionTable::build(ds, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 1u);
+    EXPECT_DOUBLE_EQ(ds.records[sessions.flows_of(0)[0]].start, 0.0);
+    EXPECT_DOUBLE_EQ(sessions.start[0], 0.0);
 }
 
 TEST(Sessions, OutputSortedByStartTime) {
-    const auto ds = unsorted_keys();
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 3u);
-    EXPECT_LT(sessions[0].start(), sessions[1].start());
-    EXPECT_LT(sessions[1].start(), sessions[2].start());
+    const auto sessions = SessionTable::build(unsorted_keys(), 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 3u);
+    EXPECT_LT(sessions.start[0], sessions.start[1]);
+    EXPECT_LT(sessions.start[1], sessions.start[2]);
 }
 
 TEST(Sessions, EmptyDataset) {
-    EXPECT_TRUE(analysis::build_sessions(dataset({}), 1.0).empty());
+    EXPECT_EQ(SessionTable::build(dataset({}), 1.0).num_sessions(), 0u);
 }
 
 TEST(ResolutionBreakdown, SharesPartitionVideoFlows) {
@@ -222,16 +221,18 @@ TEST_P(SessionProperty, ConservationAndMonotonicity) {
     const auto ds = property_dataset(GetParam());
     std::size_t prev_sessions = SIZE_MAX;
     for (const double t : kPropertyGaps) {
-        const auto sessions = analysis::build_sessions(ds, t);
+        const auto sessions = SessionTable::build(ds, t);
         std::size_t flows = 0;
-        for (const auto& s : sessions) flows += s.num_flows();
+        for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+            flows += sessions.flows_of(s).size();
+        }
         EXPECT_EQ(flows, ds.records.size()) << "T=" << t;
-        EXPECT_LE(sessions.size(), prev_sessions) << "T=" << t;
-        prev_sessions = sessions.size();
-        for (const auto& s : sessions) {
-            for (const auto* f : s.flows) {
-                EXPECT_EQ(f->client_ip, s.client);
-                EXPECT_EQ(f->video, s.video);
+        EXPECT_LE(sessions.num_sessions(), prev_sessions) << "T=" << t;
+        prev_sessions = sessions.num_sessions();
+        for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+            for (const auto row : sessions.flows_of(s)) {
+                EXPECT_EQ(ds.records[row].client_ip, sessions.client[s]);
+                EXPECT_EQ(ds.records[row].video, sessions.video[s]);
             }
         }
     }
@@ -240,34 +241,25 @@ TEST_P(SessionProperty, ConservationAndMonotonicity) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionProperty, ::testing::ValuesIn(kPropertySeeds));
 
 TEST(Sessions, GroupingsMatchPinnedDigest) {
-    golden::ResultLog reference;
+    // Pinned to build_sessions' grouping of the same datasets at the same gaps.
     golden::ResultLog table;
-    const auto add = [&](const capture::Dataset& ds, double gap) {
-        reference.add(golden::as_table(analysis::build_sessions(ds, gap), ds));
-        table.add(analysis::SessionTable::build(ds, gap));
-    };
     for (const auto& h : hand_built()) {
-        for (const double gap : h.gaps) add(h.ds, gap);
+        for (const double gap : h.gaps) table.add(SessionTable::build(h.ds, gap));
     }
     for (const auto seed : kPropertySeeds) {
         const auto ds = property_dataset(seed);
-        for (const double gap : kPropertyGaps) add(ds, gap);
+        for (const double gap : kPropertyGaps) table.add(SessionTable::build(ds, gap));
     }
-    EXPECT_EQ(reference.digest(), golden::kHandBuiltSessions);
     EXPECT_EQ(table.digest(), golden::kHandBuiltSessions);
 }
 
 TEST(IncrementalSummary, HandBuiltDatasetsMatchPinnedDigest) {
-    golden::ResultLog reference;
+    // Pinned to Dataset::summary() of the same datasets.
     golden::ResultLog incremental;
-    std::vector<capture::Dataset> datasets;
-    for (auto& h : hand_built()) datasets.push_back(std::move(h.ds));
-    for (const auto seed : kPropertySeeds) datasets.push_back(property_dataset(seed));
-    for (const auto& ds : datasets) {
-        reference.add(ds.summary());
-        incremental.add(golden::incremental_summary(ds));
+    for (const auto& h : hand_built()) incremental.add(analysis::summarize(h.ds));
+    for (const auto seed : kPropertySeeds) {
+        incremental.add(analysis::summarize(property_dataset(seed)));
     }
-    EXPECT_EQ(reference.digest(), golden::kHandBuiltSummaries);
     EXPECT_EQ(incremental.digest(), golden::kHandBuiltSummaries);
 }
 

@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/incremental.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/streaming.hpp"
@@ -219,13 +220,14 @@ int cmd_analyze(const util::ArgParser& args) {
         util::io::read_file(args.positionals()[2]).value_or_throw());
     const auto map = analysis::read_dc_map(map_is);
 
-    const int preferred = analysis::preferred_dc(ds, map);
+    const auto dc = analysis::dc_column(ds, map);
+    const auto traffic = analysis::fold_dataset(ds, dc, analysis::IncrementalDcTraffic{});
+    const int preferred = traffic.preferred(map);
     if (preferred < 0) throw std::runtime_error("no mapped flows in the log");
-    const auto share = analysis::non_preferred_share(ds, map, preferred);
+    const auto share = traffic.share(preferred);
     const auto sessions =
         analysis::SessionTable::build(ds, args.get_double_or("gap", 1.0));
-    const auto patterns =
-        analysis::session_patterns(sessions, analysis::dc_column(ds, map), preferred);
+    const auto patterns = analysis::session_patterns(sessions, dc, preferred);
 
     analysis::AsciiTable t({"metric", "value"});
     t.add_row({"flows", std::to_string(ds.records.size())});
@@ -261,10 +263,9 @@ int cmd_summary(const util::ArgParser& args) {
         capture::Dataset ds;
         ds.name = args.positionals()[i];
         ds.records = capture::read_any_log(args.positionals()[i]);
-        const auto s = ds.summary();
-        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb, 2),
-                   std::to_string(s.distinct_servers),
-                   std::to_string(s.distinct_clients)});
+        const auto s = analysis::summarize(ds);
+        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
+                   std::to_string(s.servers.size()), std::to_string(s.clients.size())});
     }
     std::cout << t;
     return 0;
