@@ -5,7 +5,6 @@
 #include <cstring>
 #include <string>
 
-#include "util/atomic_file.hpp"
 #include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
@@ -116,7 +115,7 @@ void write_binary_log(std::ostream& os, const std::vector<FlowRecord>& records) 
 
 util::Result<void> write_binary_log_result(const std::filesystem::path& path,
                                            const std::vector<FlowRecord>& records) {
-    return util::atomic_write_file(path, binary_log_bytes(records))
+    return util::io::write_file_atomic(path, binary_log_bytes(records))
         .context("write_binary_log " + path.string());
 }
 

@@ -21,11 +21,9 @@ void write_flow_log(const std::filesystem::path& path,
                     const std::vector<FlowRecord>& records) {
     // Through the injectable facade: atomic (tmp + fsync + rename), so a
     // crashed or faulted writer never leaves a torn TSV under `path`.
-    util::io::write_file_atomic(path,
-                                [&](std::ostream& os) {
-                                    write_flow_log(os, records);
-                                    return static_cast<bool>(os);
-                                })
+    std::ostringstream os;
+    write_flow_log(os, records);
+    util::io::write_file_atomic(path, os.str())
         .context("write_flow_log " + path.string())
         .value_or_throw();
 }

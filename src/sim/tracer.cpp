@@ -9,9 +9,9 @@
 #include <optional>
 #include <utility>
 
-#include "util/atomic_file.hpp"
 #include "util/codec.hpp"
 #include "util/crc32.hpp"
+#include "util/io.hpp"
 
 namespace ytcdn::sim {
 
@@ -230,7 +230,7 @@ std::string write_trace_bytes(const TraceLog& log) {
 
 util::Result<void> write_trace_file(const std::filesystem::path& path,
                                     const TraceLog& log) {
-    return util::atomic_write_file(path, write_trace_bytes(log));
+    return util::io::write_file_atomic(path, write_trace_bytes(log));
 }
 
 namespace {
@@ -518,7 +518,7 @@ std::string render_trace_jsonl(const TraceLog& log) {
 
 util::Result<void> write_trace_jsonl(const std::filesystem::path& path,
                                      const TraceLog& log) {
-    return util::atomic_write_file(path, render_trace_jsonl(log));
+    return util::io::write_file_atomic(path, render_trace_jsonl(log));
 }
 
 std::vector<SessionTimeline> session_timelines(const TraceLog& log) {

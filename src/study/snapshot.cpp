@@ -6,7 +6,6 @@
 
 #include "capture/binary_log.hpp"
 #include "sim/random.hpp"
-#include "util/atomic_file.hpp"
 #include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
@@ -175,11 +174,9 @@ bool write_trace_snapshot(std::ostream& os, const StudyConfig& config,
 bool write_trace_snapshot(const std::filesystem::path& path,
                           const StudyConfig& config,
                           const TraceOutputs& traces) {
-    if (!config.fault_schedule.empty()) return false;
-    return util::atomic_write_file(path, [&](std::ostream& os) {
-               return write_trace_snapshot(os, config, traces);
-           })
-        .ok();
+    std::ostringstream os;
+    if (!write_trace_snapshot(os, config, traces)) return false;
+    return util::io::write_file_atomic(path, os.str()).ok();
 }
 
 namespace {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -15,14 +14,14 @@
 
 #include "util/host_clock.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
+#if !defined(__unix__) && !defined(__APPLE__)
+#error "util::io is POSIX-only: it needs fd-level fsync and Unix-domain sockets"
+#endif
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define YTCDN_IO_POSIX 1
-#endif
 
 namespace ytcdn::util::io {
 
@@ -334,11 +333,11 @@ Result<void> install_fault_plan_from_env() {
     return {};
 }
 
-// --- facade operations -------------------------------------------------------
-
-#ifdef YTCDN_IO_POSIX
+// --- files -------------------------------------------------------------------
 
 namespace {
+
+constexpr std::size_t kReadChunk = 1 << 16;
 
 int open_retry(const char* path, int flags, mode_t mode = 0) {
     int fd = -1;
@@ -348,11 +347,18 @@ int open_retry(const char* path, int flags, mode_t mode = 0) {
     return fd;
 }
 
-/// Writes the whole buffer, retrying EINTR and continuing partial writes.
-bool write_all(int fd, const char* data, std::size_t size) {
+/// Writes the whole buffer at the file position, or at `offset` (pwrite)
+/// when one is given, retrying EINTR and continuing partial writes.
+bool write_all(int fd, std::string_view bytes, std::int64_t offset = -1) {
     std::size_t done = 0;
-    while (done < size) {
-        const ssize_t n = ::write(fd, data + done, size - done);
+    while (done < bytes.size()) {
+        const char* data = bytes.data() + done;
+        const std::size_t left = bytes.size() - done;
+        const ssize_t n =
+            offset < 0 ? ::write(fd, data, left)
+                       : ::pwrite(fd, data, left,
+                                  static_cast<off_t>(offset) +
+                                      static_cast<off_t>(done));
         if (n < 0) {
             if (errno == EINTR) continue;
             return false;
@@ -385,115 +391,18 @@ Result<void> sync_parent_dir(const std::filesystem::path& path) {
     const int fd = open_retry(dir.c_str(), O_RDONLY);
     if (fd < 0) return {};
     const bool ok = fsync_retry(fd);
-    ::close(fd);
+    close_fd(fd);
     if (!ok) return errno_error("fsync of parent directory", dir);
     return {};
 }
 
-}  // namespace
-
-Result<std::string> read_file(const std::filesystem::path& path) {
-    if (const FaultKind f = check_fault(Op::Open, path); f != FaultKind::None) {
-        return injected_error(f, Op::Open, path);
-    }
-    const int fd = open_retry(path.c_str(), O_RDONLY);
-    if (fd < 0) return errno_error("open", path);
-
-    std::string out;
-    char buf[1 << 16];
-    bool injected_read_fault = false;
-    FaultKind read_fault = FaultKind::None;
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            return errno_error("read", path);
-        }
-        if (n == 0) break;
-        if (const FaultKind f = check_fault(Op::Read, path);
-            f != FaultKind::None) {
-            // A short read delivers this chunk truncated before failing, so
-            // the caller sees the torn prefix a real EIO would leave.
-            out.append(buf, static_cast<std::size_t>(
-                                f == FaultKind::ShortWrite ? n / 2 : 0));
-            injected_read_fault = true;
-            read_fault = f;
-            break;
-        }
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    if (injected_read_fault) {
-        return injected_error(read_fault, Op::Read, path);
-    }
-    return out;
-}
-
-Result<void> write_file_atomic(const std::filesystem::path& path,
-                               std::string_view bytes) {
-    std::error_code ec;
-    if (path.has_parent_path()) {
-        std::filesystem::create_directories(path.parent_path(), ec);
-        if (ec) {
-            return Error(ErrorCode::Io, "create_directories failed for " +
-                                            path.parent_path().string());
-        }
-    }
-    const std::filesystem::path tmp = path.string() + ".tmp";
-    const auto fail = [&](Error error) {
-        std::error_code ignore;
-        std::filesystem::remove(tmp, ignore);
-        return error;
-    };
-
-    if (const FaultKind f = check_fault(Op::Open, path); f != FaultKind::None) {
-        return injected_error(f, Op::Open, path);
-    }
-    const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) return errno_error("open", tmp);
-
-    if (const FaultKind f = check_fault(Op::Write, path);
-        f != FaultKind::None) {
-        if (f == FaultKind::ShortWrite) {
-            // Leave a torn temp file exactly as a real short write would,
-            // then fail — the cleanup below must still remove it.
-            (void)write_all(fd, bytes.data(), bytes.size() / 2);
-        }
-        ::close(fd);
-        return fail(injected_error(f, Op::Write, path));
-    }
-    if (!write_all(fd, bytes.data(), bytes.size())) {
-        ::close(fd);
-        return fail(errno_error("write", tmp));
-    }
-
-    if (const FaultKind f = check_fault(Op::Fsync, path);
-        f != FaultKind::None) {
-        ::close(fd);
-        return fail(injected_error(f, Op::Fsync, path));
-    }
-    if (!fsync_retry(fd)) {
-        ::close(fd);
-        return fail(errno_error("fsync", tmp));
-    }
-    ::close(fd);
-
-    if (const FaultKind f = check_fault(Op::Rename, path);
-        f != FaultKind::None) {
-        return fail(injected_error(f, Op::Rename, path));
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        return fail(errno_error("rename", path));
-    }
-    return sync_parent_dir(path);
-}
-
+/// Fault point: Rename, drawn against `key` — the published name for a
+/// FileWriter, the damaged file for a quarantine.
 Result<void> rename_file(const std::filesystem::path& from,
-                         const std::filesystem::path& to) {
-    if (const FaultKind f = check_fault(Op::Rename, from);
-        f != FaultKind::None) {
-        return injected_error(f, Op::Rename, from);
+                         const std::filesystem::path& to,
+                         const std::filesystem::path& key) {
+    if (const FaultKind f = check_fault(Op::Rename, key); f != FaultKind::None) {
+        return injected_error(f, Op::Rename, key);
     }
     if (::rename(from.c_str(), to.c_str()) != 0) {
         return errno_error("rename", from);
@@ -501,119 +410,35 @@ Result<void> rename_file(const std::filesystem::path& from,
     return {};
 }
 
-#else  // !YTCDN_IO_POSIX — portable fallback without fd-level durability.
+}  // namespace
 
 Result<std::string> read_file(const std::filesystem::path& path) {
-    if (const FaultKind f = check_fault(Op::Open, path); f != FaultKind::None) {
-        return injected_error(f, Op::Open, path);
+    auto reader = FileReader::open(path);
+    if (!reader) return std::move(reader).error();
+    std::string out;
+    char buf[kReadChunk];
+    for (;;) {
+        auto n = reader.value().read(buf, sizeof(buf));
+        if (!n) return std::move(n).error();
+        if (n.value() == 0) return out;
+        out.append(buf, n.value());
     }
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return Error(ErrorCode::Io, "cannot open " + path.string());
-    if (const FaultKind f = check_fault(Op::Read, path); f != FaultKind::None) {
-        return injected_error(f, Op::Read, path);
-    }
-    std::string out{std::istreambuf_iterator<char>(is),
-                    std::istreambuf_iterator<char>()};
-    if (is.bad()) return Error(ErrorCode::Io, "read failed for " + path.string());
-    return out;
 }
 
 Result<void> write_file_atomic(const std::filesystem::path& path,
                                std::string_view bytes) {
-    std::error_code ec;
-    if (path.has_parent_path()) {
-        std::filesystem::create_directories(path.parent_path(), ec);
-        if (ec) {
-            return Error(ErrorCode::Io, "create_directories failed for " +
-                                            path.parent_path().string());
-        }
-    }
-    const std::filesystem::path tmp = path.string() + ".tmp";
-    const auto fail = [&](Error error) {
-        std::error_code ignore;
-        std::filesystem::remove(tmp, ignore);
-        return error;
-    };
-    if (const FaultKind f = check_fault(Op::Open, path); f != FaultKind::None) {
-        return injected_error(f, Op::Open, path);
-    }
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) return Error(ErrorCode::Io, "cannot open " + tmp.string());
-        if (const FaultKind f = check_fault(Op::Write, path);
-            f != FaultKind::None) {
-            return fail(injected_error(f, Op::Write, path));
-        }
-        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        os.flush();
-        if (!os) return fail(Error(ErrorCode::Io, "write failed for " + tmp.string()));
-    }
-    if (const FaultKind f = check_fault(Op::Rename, path);
-        f != FaultKind::None) {
-        return fail(injected_error(f, Op::Rename, path));
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) return fail(Error(ErrorCode::Io, "rename failed for " + path.string()));
-    return {};
+    auto writer = FileWriter::create(path);
+    if (!writer) return std::move(writer).error();
+    // A failed append leaves the writer to discard its temp file.
+    if (auto r = writer.value().append(bytes); !r) return r;
+    return writer.value().publish();
 }
-
-Result<void> rename_file(const std::filesystem::path& from,
-                         const std::filesystem::path& to) {
-    if (const FaultKind f = check_fault(Op::Rename, from);
-        f != FaultKind::None) {
-        return injected_error(f, Op::Rename, from);
-    }
-    std::error_code ec;
-    std::filesystem::rename(from, to, ec);
-    if (ec) return Error(ErrorCode::Io, "rename failed for " + from.string());
-    return {};
-}
-
-#endif  // YTCDN_IO_POSIX
-
-Result<void> write_file_atomic(const std::filesystem::path& path,
-                               const std::function<bool(std::ostream&)>& writer) {
-    std::ostringstream buffer;
-    if (!writer(buffer) || !buffer) {
-        return Error(ErrorCode::Io, "serialize failed for " + path.string());
-    }
-    return write_file_atomic(path, buffer.str());
-}
-
-// --- streaming files ---------------------------------------------------------
-
-namespace {
-
-/// fsync of a just-written file by path; a no-op on hosts without
-/// fd-level durability (mirroring the write_file_atomic fallback).
-Result<void> sync_file_durable(const std::filesystem::path& path) {
-#ifdef YTCDN_IO_POSIX
-    const int fd = open_retry(path.c_str(), O_RDONLY);
-    if (fd < 0) return errno_error("open", path);
-    const bool ok = fsync_retry(fd);
-    ::close(fd);
-    if (!ok) return errno_error("fsync", path);
-#else
-    (void)path;
-#endif
-    return {};
-}
-
-Result<void> sync_parent_durable(const std::filesystem::path& path) {
-#ifdef YTCDN_IO_POSIX
-    return sync_parent_dir(path);
-#else
-    (void)path;
-    return {};
-#endif
-}
-
-}  // namespace
 
 struct FileReader::Impl {
-    std::ifstream is;
+    int fd = -1;
     std::filesystem::path path;
     std::uint64_t offset = 0;
+    ~Impl() { close_fd(fd); }
 };
 
 FileReader::FileReader() = default;
@@ -625,24 +450,28 @@ Result<FileReader> FileReader::open(const std::filesystem::path& path) {
     if (const FaultKind f = check_fault(Op::Open, path); f != FaultKind::None) {
         return injected_error(f, Op::Open, path);
     }
-    auto impl = std::make_unique<Impl>();
-    impl->is.open(path, std::ios::binary);
-    if (!impl->is) {
-        return Error(ErrorCode::Io, "cannot open " + path.string());
-    }
-    impl->path = path;
+    const int fd = open_retry(path.c_str(), O_RDONLY);
+    if (fd < 0) return errno_error("open", path);
     FileReader reader;
-    reader.impl_ = std::move(impl);
+    reader.impl_ = std::make_unique<Impl>();
+    reader.impl_->fd = fd;
+    reader.impl_->path = path;
     return reader;
 }
 
 Result<std::size_t> FileReader::read(char* buf, std::size_t max) {
     if (!impl_) return Error(ErrorCode::Io, "FileReader: not open");
-    if (max == 0) return std::size_t{0};
-    impl_->is.read(buf, static_cast<std::streamsize>(max));
-    const auto n = static_cast<std::size_t>(impl_->is.gcount());
-    if (impl_->is.bad()) {
-        return Error(ErrorCode::Io, "read failed for " + impl_->path.string());
+    // Fill the whole buffer unless the file ends first, so a short count
+    // always means end of file.
+    std::size_t n = 0;
+    while (n < max) {
+        const ssize_t got = ::read(impl_->fd, buf + n, max - n);
+        if (got < 0) {
+            if (errno == EINTR) continue;
+            return errno_error("read", impl_->path);
+        }
+        if (got == 0) break;
+        n += static_cast<std::size_t>(got);
     }
     if (n > 0) {
         if (const FaultKind f = check_fault(Op::Read, impl_->path);
@@ -678,10 +507,11 @@ const std::filesystem::path& FileReader::path() const noexcept {
 void FileReader::close() { impl_.reset(); }
 
 struct FileWriter::Impl {
-    std::ofstream os;
+    int fd = -1;
     std::filesystem::path final_path;
     std::filesystem::path tmp_path;
     std::uint64_t logical_end = 0;
+    ~Impl() { close_fd(fd); }
 };
 
 FileWriter::FileWriter() = default;
@@ -701,15 +531,14 @@ Result<FileWriter> FileWriter::create(const std::filesystem::path& path) {
     if (const FaultKind f = check_fault(Op::Open, path); f != FaultKind::None) {
         return injected_error(f, Op::Open, path);
     }
-    auto impl = std::make_unique<Impl>();
-    impl->final_path = path;
-    impl->tmp_path = path.string() + ".tmp";
-    impl->os.open(impl->tmp_path, std::ios::binary | std::ios::trunc);
-    if (!impl->os) {
-        return Error(ErrorCode::Io, "cannot open " + impl->tmp_path.string());
-    }
+    const std::filesystem::path tmp = path.string() + ".tmp";
+    const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return errno_error("open", tmp);
     FileWriter writer;
-    writer.impl_ = std::move(impl);
+    writer.impl_ = std::make_unique<Impl>();
+    writer.impl_->fd = fd;
+    writer.impl_->final_path = path;
+    writer.impl_->tmp_path = tmp;
     return writer;
 }
 
@@ -721,14 +550,12 @@ Result<void> FileWriter::append(std::string_view bytes) {
             // Tear the temp file exactly as a real short write would; the
             // caller's discard (or our destructor) removes the evidence and
             // the final name never existed.
-            impl_->os.write(bytes.data(),
-                            static_cast<std::streamsize>(bytes.size() / 2));
+            (void)write_all(impl_->fd, bytes.substr(0, bytes.size() / 2));
         }
         return injected_error(f, Op::Write, impl_->final_path);
     }
-    impl_->os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!impl_->os) {
-        return Error(ErrorCode::Io, "write failed for " + impl_->tmp_path.string());
+    if (!write_all(impl_->fd, bytes)) {
+        return errno_error("write", impl_->tmp_path);
     }
     impl_->logical_end += bytes.size();
     return {};
@@ -745,12 +572,8 @@ Result<void> FileWriter::write_at(std::uint64_t offset, std::string_view bytes) 
         f != FaultKind::None) {
         return injected_error(f, Op::Write, impl_->final_path);
     }
-    impl_->os.seekp(static_cast<std::streamoff>(offset));
-    impl_->os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    impl_->os.seekp(static_cast<std::streamoff>(impl_->logical_end));
-    if (!impl_->os) {
-        return Error(ErrorCode::Io,
-                     "write_at failed for " + impl_->tmp_path.string());
+    if (!write_all(impl_->fd, bytes, static_cast<std::int64_t>(offset))) {
+        return errno_error("write_at", impl_->tmp_path);
     }
     return {};
 }
@@ -770,44 +593,29 @@ Result<void> FileWriter::publish() {
         discard();
         return error;
     };
-    impl_->os.flush();
-    if (!impl_->os) {
-        return fail(Error(ErrorCode::Io,
-                          "flush failed for " + impl_->tmp_path.string()));
-    }
-    impl_->os.close();
-    if (const FaultKind f = check_fault(Op::Fsync, impl_->final_path);
-        f != FaultKind::None) {
-        return fail(injected_error(f, Op::Fsync, impl_->final_path));
-    }
-    if (auto r = sync_file_durable(impl_->tmp_path); !r) {
-        return fail(std::move(r).error());
-    }
-    // rename_file carries the Rename fault point.
-    if (auto r = rename_file(impl_->tmp_path, impl_->final_path); !r) {
-        return fail(std::move(r).error());
-    }
     const std::filesystem::path published = impl_->final_path;
+    if (const FaultKind f = check_fault(Op::Fsync, published);
+        f != FaultKind::None) {
+        return fail(injected_error(f, Op::Fsync, published));
+    }
+    if (!fsync_retry(impl_->fd)) {
+        return fail(errno_error("fsync", impl_->tmp_path));
+    }
+    if (auto r = rename_file(impl_->tmp_path, published, published); !r) {
+        return fail(std::move(r).error());
+    }
     impl_.reset();
-    return sync_parent_durable(published);
+    return sync_parent_dir(published);
 }
 
 void FileWriter::discard() {
     if (!impl_) return;
-    impl_->os.close();
     std::error_code ignore;
     std::filesystem::remove(impl_->tmp_path, ignore);
     impl_.reset();
 }
 
-Result<std::filesystem::path> quarantine_file(const std::filesystem::path& path,
-                                              std::size_t keep) {
-    if (keep == 0) keep = kDefaultQuarantineKeep;
-    if (const char* env = std::getenv("YTCDN_QUARANTINE_KEEP")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) keep = static_cast<std::size_t>(v);
-    }
-
+Result<std::filesystem::path> quarantine_file(const std::filesystem::path& path) {
     // Existing quarantined siblings: "<name>.corrupt.<k>".
     const std::filesystem::path dir =
         path.has_parent_path() ? path.parent_path() : ".";
@@ -832,16 +640,16 @@ Result<std::filesystem::path> quarantine_file(const std::filesystem::path& path,
     const std::uint64_t next = existing.empty() ? 1 : existing.back().first + 1;
     const std::filesystem::path target =
         dir / (prefix + std::to_string(next));
-    if (auto r = rename_file(path, target); !r) {
+    if (auto r = rename_file(path, target, path); !r) {
         return std::move(r).context("quarantine").error();
     }
 
-    // Keep the newest `keep` quarantined copies including the one just
-    // created; delete the oldest beyond that so repeated corruption in a
-    // long run cannot fill the disk.
+    // Keep the newest kDefaultQuarantineKeep quarantined copies including
+    // the one just created; delete the oldest beyond that so repeated
+    // corruption in a long run cannot fill the disk.
     const std::size_t total = existing.size() + 1;
-    if (total > keep) {
-        const std::size_t drop = total - keep;
+    if (total > kDefaultQuarantineKeep) {
+        const std::size_t drop = total - kDefaultQuarantineKeep;
         for (std::size_t i = 0; i < drop && i < existing.size(); ++i) {
             std::filesystem::remove(existing[i].second, ec);
         }
@@ -859,8 +667,6 @@ const std::filesystem::path& fd_label(const std::filesystem::path& what) {
 }
 
 }  // namespace
-
-#ifdef YTCDN_IO_POSIX
 
 void close_fd(int fd) {
     if (fd < 0) return;
@@ -960,7 +766,7 @@ Result<void> write_fd_all(int fd, std::string_view bytes) {
         f != FaultKind::None) {
         return injected_error(f, Op::Write, label);
     }
-    if (!write_all(fd, bytes.data(), bytes.size())) {
+    if (!write_all(fd, bytes)) {
         return errno_error("write", label);
     }
     return {};
@@ -1063,61 +869,6 @@ Result<int> connect_unix(const std::filesystem::path& path) {
     }
     return fd;
 }
-
-#else  // !YTCDN_IO_POSIX — the daemon runs with its control endpoint disabled.
-
-namespace {
-
-Error no_sockets(const std::filesystem::path& what) {
-    return Error(ErrorCode::Io,
-                 "unix sockets are unavailable on this host (" + what.string() +
-                     ")");
-}
-
-}  // namespace
-
-void close_fd(int) {}
-
-Result<bool> poll_readable(int fd, int timeout_ms,
-                           const std::filesystem::path& what) {
-    const std::filesystem::path& label = fd_label(what);
-    if (const FaultKind f = check_fault(Op::Poll, label);
-        f != FaultKind::None) {
-        return injected_error(f, Op::Poll, label);
-    }
-    if (fd < 0) {
-        stall(static_cast<double>(timeout_ms));
-        return false;
-    }
-    return no_sockets(label);
-}
-
-Result<std::string> read_line_fd(int, int, std::size_t) {
-    return no_sockets(fd_label({}));
-}
-
-Result<std::string> read_all_fd(int, int, std::size_t) {
-    return no_sockets(fd_label({}));
-}
-
-Result<void> write_fd_all(int, std::string_view) {
-    return no_sockets(fd_label({}));
-}
-
-Result<UnixServerSocket> UnixServerSocket::listen(
-    const std::filesystem::path& path) {
-    return no_sockets(path);
-}
-
-Result<int> UnixServerSocket::accept_ready(int) {
-    return no_sockets(path_);
-}
-
-Result<int> connect_unix(const std::filesystem::path& path) {
-    return no_sockets(path);
-}
-
-#endif  // YTCDN_IO_POSIX
 
 UnixServerSocket::UnixServerSocket(UnixServerSocket&& other) noexcept
     : fd_(other.fd_), path_(std::move(other.path_)) {

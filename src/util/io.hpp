@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,13 +13,16 @@ namespace ytcdn::util::io {
 
 /// The injectable host-I/O boundary. Every file the pipeline touches goes
 /// through these entry points, which consult the process-wide FaultPlan
-/// before performing the real operation. With no plan installed (the
-/// default) the facade is a thin wrapper over POSIX I/O with EINTR retries
-/// and full durability (fsync the file *and* its parent directory before a
-/// rename publishes it); with a plan installed, a deterministic, seeded
-/// schedule of EIO / ENOSPC / short-write / slow-write faults fires at the
-/// selected operations — which is how ctest chaos-tests the real pipeline
-/// instead of a mock.
+/// before performing the real operation. The facade is POSIX-only: one
+/// writer (FileWriter) and one reader (FileReader), both on raw file
+/// descriptors with EINTR retries; the whole-file calls are thin
+/// compositions of them. A write is fully durable (fsync the file *and* its
+/// parent directory before a rename publishes it). With a plan installed,
+/// a deterministic, seeded schedule of EIO / ENOSPC / short-write /
+/// slow-write faults fires at the selected operations — which is how ctest
+/// chaos-tests the real pipeline instead of a mock. Every fault point of a
+/// file write draws against the published name, never the "<path>.tmp"
+/// temp file.
 
 /// The primitive operations a FaultRule can select. Accept and Poll cover
 /// the daemon's control-socket path (ytcdnd), so a chaos plan reaches the
@@ -132,35 +133,25 @@ private:
 /// reaches every command without new flags.
 [[nodiscard]] Result<void> install_fault_plan_from_env();
 
-/// Reads the whole file. EINTR-retried; fault points: Open, Read.
+/// Reads the whole file: drains a FileReader in 64 KiB chunks. Fault
+/// points: Open, then Read once per non-empty chunk.
 [[nodiscard]] Result<std::string> read_file(const std::filesystem::path& path);
 
-/// Writes atomically and durably: serialize to "<path>.tmp", fsync the
-/// file, rename over the final name, then fsync the parent directory (a
-/// rename is only crash-durable once the directory entry itself is on
-/// stable storage). Parent directories are created as needed; on any
-/// failure the temp file is removed, so no torn or un-framed output is
-/// ever left under the final name. Fault points: Open, Write, Fsync,
-/// Rename. EINTR is retried at every syscall.
+/// Writes atomically and durably: FileWriter::create, one append, then
+/// publish — "<path>.tmp" is fsynced, renamed over the final name, and the
+/// parent directory fsynced (a rename is only crash-durable once the
+/// directory entry itself is on stable storage). Parent directories are
+/// created as needed; on any failure the temp file is removed, so no torn
+/// or un-framed output is ever left under the final name. Fault points:
+/// Open, Write, Fsync, Rename, each once.
 [[nodiscard]] Result<void> write_file_atomic(const std::filesystem::path& path,
                                              std::string_view bytes);
 
-/// Callback form: the writer serializes into a memory buffer first
-/// (returning false aborts with an Io error), then the byte form above
-/// performs the durable write.
-[[nodiscard]] Result<void> write_file_atomic(
-    const std::filesystem::path& path,
-    const std::function<bool(std::ostream&)>& writer);
-
-/// Renames with EINTR retry. Fault point: Rename.
-[[nodiscard]] Result<void> rename_file(const std::filesystem::path& from,
-                                       const std::filesystem::path& to);
-
-/// Incremental file reader: bounded chunk reads through the fault-plan
-/// boundary, for consumers that must not materialize the whole file (the
-/// out-of-core YFL2/YTR1 streaming paths — DESIGN.md §16). Move-only.
-/// Fault points: Open at open(), Read at every chunk (a ShortWrite fault
-/// delivers a torn chunk first, like read_file).
+/// Incremental file reader on a file descriptor: bounded chunk reads
+/// through the fault-plan boundary, for read_file and for consumers that
+/// must not materialize the whole file (the out-of-core YFL2/YTR1 streaming
+/// paths — DESIGN.md §16). Move-only. Fault points: Open at open(), Read at
+/// every non-empty chunk (a ShortWrite fault tears the chunk, then fails).
 class FileReader {
 public:
     FileReader();
@@ -172,7 +163,8 @@ public:
 
     [[nodiscard]] static Result<FileReader> open(const std::filesystem::path& path);
 
-    /// Reads up to `max` bytes into `buf`; returns the count, 0 at EOF.
+    /// Reads up to `max` bytes into `buf`; returns the count, which is
+    /// below `max` only at end of file (0 once it is reached).
     [[nodiscard]] Result<std::size_t> read(char* buf, std::size_t max);
     /// Appends up to `max` bytes to `out` (resizing it); returns the count.
     [[nodiscard]] Result<std::size_t> read_chunk(std::string& out, std::size_t max);
@@ -188,15 +180,16 @@ private:
     std::unique_ptr<Impl> impl_;
 };
 
-/// Incremental atomic file writer: appends stream to "<path>.tmp"; only
-/// publish() — fsync, rename over the final name, fsync the parent
-/// directory — makes the file visible, so a crashed or discarded writer
-/// never leaves a torn log under the final name. write_at() patches bytes
-/// already appended (how the streaming YFL2 writer back-fills the header's
-/// record count on close without buffering the log). Move-only; an
-/// unpublished writer discards its temp file on destruction. Fault
-/// points: Open at create(), Write at append()/write_at(), Fsync and
-/// Rename at publish().
+/// The one durable writer, on a file descriptor: appends go straight to
+/// "<path>.tmp"; only publish() — fsync, rename over the final name, fsync
+/// the parent directory — makes the file visible, so a crashed or
+/// discarded writer never leaves a torn log under the final name.
+/// write_at() patches bytes already appended with pwrite (how the streaming
+/// YFL2 writer back-fills the header's record count on close without
+/// buffering the log). Move-only; an unpublished writer discards its temp
+/// file on destruction. Fault points, all drawn against the final name:
+/// Open at create(), Write at append()/write_at(), Fsync and Rename at
+/// publish().
 class FileWriter {
 public:
     FileWriter();
@@ -233,22 +226,19 @@ private:
 
 /// Moves a damaged file aside as "<path>.corrupt.<k>" (k increments past
 /// any existing quarantined sibling) and prunes older quarantined copies
-/// so at most `keep` remain — repeated corruption in a long run must not
-/// fill the disk. Returns the quarantine path. `keep` == 0 keeps the
-/// default of kDefaultQuarantineKeep; the YTCDN_QUARANTINE_KEEP
-/// environment variable overrides either.
+/// so at most kDefaultQuarantineKeep remain — repeated corruption in a
+/// long run must not fill the disk. Returns the quarantine path. Fault
+/// point: Rename, drawn against `path`.
 inline constexpr std::size_t kDefaultQuarantineKeep = 3;
 [[nodiscard]] Result<std::filesystem::path> quarantine_file(
-    const std::filesystem::path& path, std::size_t keep = 0);
+    const std::filesystem::path& path);
 
 /// --- local sockets (the ytcdnd control endpoint) -------------------------
 ///
 /// The same injectable-boundary rules apply: every socket operation
 /// consults the fault plan (ops accept / poll / read / write), every wait
 /// carries an explicit deadline (the service-loop lint rule forbids raw
-/// blocking calls in src/service/), and EINTR is retried everywhere. On
-/// non-POSIX hosts the socket entry points return a typed Io error and the
-/// daemon runs with its control endpoint disabled.
+/// blocking calls in src/service/), and EINTR is retried everywhere.
 
 /// Closes a descriptor, retrying EINTR; negative fds are ignored.
 void close_fd(int fd);

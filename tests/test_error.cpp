@@ -1,19 +1,20 @@
 // The typed-error layer under all I/O boundaries: ytcdn::Error carries a
 // code, a rendered message with provenance, and maps onto a stable process
 // exit-code taxonomy; util::Result threads it through fallible call chains;
-// util::crc32 is the framing checksum; util::atomic_write_file is the
+// util::crc32 is the framing checksum; util::io::write_file_atomic is the
 // shared torn-write guard.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
-#include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
 
 namespace util = ytcdn::util;
 using ytcdn::Error;
@@ -152,7 +153,7 @@ TEST(Result, VoidSpecializationWorks) {
     EXPECT_THROW(check_even(3).value_or_throw(), Error);
 }
 
-// --- atomic_write_file ---------------------------------------------------
+// --- write_file_atomic ---------------------------------------------------
 
 class AtomicFileTest : public ::testing::Test {
 protected:
@@ -179,7 +180,7 @@ protected:
 
 TEST_F(AtomicFileTest, WritesBytesAndCreatesParents) {
     const auto path = dir_ / "nested" / "out.bin";
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("payload")).ok());
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("payload")).ok());
     EXPECT_EQ(slurp(path), "payload");
     // No temp file left behind.
     EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
@@ -187,18 +188,25 @@ TEST_F(AtomicFileTest, WritesBytesAndCreatesParents) {
 
 TEST_F(AtomicFileTest, ReplacesExistingFileAtomically) {
     const auto path = dir_ / "out.bin";
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("old")).ok());
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("new")).ok());
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("old")).ok());
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("new")).ok());
     EXPECT_EQ(slurp(path), "new");
 }
 
 TEST_F(AtomicFileTest, FailedWriterLeavesOldContentIntact) {
     const auto path = dir_ / "out.bin";
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("keep me")).ok());
-    const auto result = util::atomic_write_file(path, [](std::ostream& os) {
-        os << "half-written";
-        return false;  // writer reports failure
-    });
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("keep me")).ok());
+    // The rewrite's one Write fails: the temp file must go and the old
+    // bytes must stay.
+    auto plan = std::make_shared<util::io::FaultPlan>(1);
+    util::io::FaultRule rule;
+    rule.probability = 1.0;
+    rule.ops = util::io::op_bit(util::io::Op::Write);
+    rule.max_faults = 1;
+    plan->add(rule);
+    const util::io::ScopedFaultPlan scoped(plan);
+    const auto result =
+        util::io::write_file_atomic(path, std::string_view("half-written"));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code(), ErrorCode::Io);
     EXPECT_EQ(slurp(path), "keep me");

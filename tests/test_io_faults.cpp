@@ -1,5 +1,6 @@
 // The injectable I/O facade: deterministic fault plans, durable atomic
-// writes under injected faults, the quarantine bound, and the env hook.
+// writes under injected faults, fault keying on the published name, the
+// quarantine bound, and the env hook.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,10 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "capture/binary_log.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -182,6 +185,48 @@ TEST(IoFacade, EmptyPlanIsByteIdenticalToNoPlan) {
     fs::remove_all(dir);
 }
 
+// Every fault point of a file write draws against the published name, so a
+// rule globbing the final extension reaches the whole-file write and the
+// streaming YFL2 writer alike — including the rename, which once drew
+// against "<path>.tmp" in the streaming writer and slipped past the glob.
+TEST(IoFacade, FaultRulesMatchThePublishedName) {
+    const std::pair<const char*, io::Op> cases[] = {{"open", io::Op::Open},
+                                                    {"write", io::Op::Write},
+                                                    {"fsync", io::Op::Fsync},
+                                                    {"rename", io::Op::Rename}};
+    for (const auto& [name, op] : cases) {
+        SCOPED_TRACE(name);
+        const auto dir = temp_dir(std::string("published_") + name);
+        const auto path = dir / "x.yfl";
+        auto plan = std::make_shared<io::FaultPlan>(1);
+        plan->add(rule(io::FaultKind::Eio, 1.0, io::op_bit(op), "*.yfl"));
+        io::ScopedFaultPlan scoped(plan);
+
+        const auto whole = io::write_file_atomic(path, "bytes");
+        ASSERT_FALSE(whole.ok());
+        EXPECT_EQ(whole.error().code(), ErrorCode::Io);
+        EXPECT_FALSE(fs::exists(path));
+        EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
+
+        // Open and Write fire inside create (which appends the header);
+        // Fsync and Rename fire inside finish.
+        const auto streamed = [&]() -> ytcdn::util::Result<void> {
+            auto writer = ytcdn::capture::FlowLogWriter::create(path);
+            if (!writer) return writer.error();
+            if (auto r = writer.value().add(ytcdn::capture::FlowRecord{}); !r) {
+                return r;
+            }
+            return writer.value().finish();
+        }();
+        ASSERT_FALSE(streamed.ok());
+        EXPECT_EQ(streamed.error().code(), ErrorCode::Io);
+        EXPECT_FALSE(fs::exists(path));
+        EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
+        EXPECT_EQ(plan->counts().injected, 2u);
+        fs::remove_all(dir);
+    }
+}
+
 TEST(Quarantine, NumbersCopiesAndKeepsOnlyTheNewest) {
     const auto dir = temp_dir("quarantine");
     const auto victim = dir / "cache.yss";
@@ -189,7 +234,7 @@ TEST(Quarantine, NumbersCopiesAndKeepsOnlyTheNewest) {
     for (int round = 0; round < 5; ++round) {
         ASSERT_TRUE(
             io::write_file_atomic(victim, "gen " + std::to_string(round)).ok());
-        auto moved = io::quarantine_file(victim, 3);
+        auto moved = io::quarantine_file(victim);
         ASSERT_TRUE(moved.ok()) << moved.error().what();
         quarantined.push_back(moved.value().filename().string());
         EXPECT_FALSE(fs::exists(victim));

@@ -89,6 +89,13 @@ analysis::ServerDcMap two_dc_map() {
     return map;
 }
 
+/// two_dc_map() in the spool's ".dcmap" text form.
+std::string two_dc_map_text() {
+    std::ostringstream os;
+    analysis::write_dc_map(os, two_dc_map());
+    return os.str();
+}
+
 }  // namespace
 
 TEST(IncrementalSummary, MatchesBatchClosure) {
@@ -297,13 +304,8 @@ void make_spool(const fs::path& spool,
     capture::write_any_log(spool / "eu1-0001.yfl", first);
     capture::write_any_log(spool / "eu1-0002.yfl", second);
     capture::write_any_log(spool / "us1-0001.tsv", records);
-    ASSERT_TRUE(io::write_file_atomic(spool / "vantage.dcmap",
-                                      [&](std::ostream& os) {
-                                          analysis::write_dc_map(os,
-                                                                 two_dc_map());
-                                          return static_cast<bool>(os);
-                                      })
-                    .ok());
+    ASSERT_TRUE(
+        io::write_file_atomic(spool / "vantage.dcmap", two_dc_map_text()).ok());
 }
 
 service::ServiceOptions once_options(const fs::path& spool,
@@ -361,11 +363,7 @@ TEST(Determinism, ServiceResume) {
         // The dc map must be present from the start: both passes must
         // classify file 1's flows under the same preference state.
         ASSERT_TRUE(io::write_file_atomic(spool / "vantage.dcmap",
-                                          [&](std::ostream& os) {
-                                              analysis::write_dc_map(
-                                                  os, two_dc_map());
-                                              return static_cast<bool>(os);
-                                          })
+                                          two_dc_map_text())
                         .ok());
         service::Service partial(
             once_options(spool, base / "run_inc", threads));

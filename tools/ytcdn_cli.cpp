@@ -43,7 +43,6 @@
 #include "study/study_run.hpp"
 #include "study/supervisor.hpp"
 #include "util/args.hpp"
-#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
@@ -124,9 +123,9 @@ void write_observability(const util::ArgParser& args, const sim::Tracer* tracer)
     if (const auto metrics_path = args.get("metrics-out")) {
         const std::filesystem::path path(*metrics_path);
         const auto snapshot = util::metrics::Registry::global().snapshot();
-        util::atomic_write_file(path, path.extension() == ".json"
-                                          ? snapshot.to_json()
-                                          : snapshot.render())
+        util::io::write_file_atomic(path, path.extension() == ".json"
+                                              ? snapshot.to_json()
+                                              : snapshot.render())
             .value_or_throw();
         std::cout << "wrote " << path << " (" << snapshot.entries.size()
                   << " metrics)\n";
@@ -156,11 +155,9 @@ int cmd_run(const util::ArgParser& args) {
         const auto& ds = run.traces.datasets[i];
         const auto path = out / (ds.name + (binary ? ".yfl" : ".tsv"));
         capture::write_any_log(path, ds.records);
-        util::io::write_file_atomic(out / (ds.name + ".dcmap"),
-                                    [&](std::ostream& os) {
-                                        analysis::write_dc_map(os, run.maps[i]);
-                                        return static_cast<bool>(os);
-                                    })
+        std::ostringstream dc_map;
+        analysis::write_dc_map(dc_map, run.maps[i]);
+        util::io::write_file_atomic(out / (ds.name + ".dcmap"), dc_map.str())
             .context("dc map " + ds.name)
             .value_or_throw();
         std::cout << "wrote " << path << " (" << ds.records.size()
