@@ -24,7 +24,7 @@ EXPECTED: dict[str, tuple[int, int]] = {
     "run": (0xAF7811B764131081, 1673),
     "summary": (0xDB4C2B3E6FD694BA, 130),
     "sessions": (0xCF7B9D7DDF9767DE, 233),
-    "analyze": (0x56F48EBA6BAE8CEE, 401),
+    "analyze": (0x668BF3EDFA431B0D, 401),
 }
 
 

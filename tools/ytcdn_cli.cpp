@@ -234,7 +234,8 @@ int cmd_analyze(const util::ArgParser& args) {
     t.add_row({"preferred byte share %",
                analysis::fmt_pct(1.0 - share.byte_fraction, 1)});
     t.add_row({"non-preferred flow share %", analysis::fmt_pct(share.flow_fraction, 1)});
-    t.add_row({"sessions", std::to_string(patterns.total_sessions)});
+    t.add_row({"sessions, all flows mapped",
+               std::to_string(patterns.total_sessions)});
     t.add_row({"single-flow sessions %", analysis::fmt_pct(patterns.single_flow, 1)});
     t.add_row({"  of which non-preferred %",
                analysis::fmt_pct(patterns.single_non_preferred, 1)});
