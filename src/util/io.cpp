@@ -438,6 +438,9 @@ struct FileReader::Impl {
     int fd = -1;
     std::filesystem::path path;
     std::uint64_t offset = 0;
+    Impl() = default;
+    Impl(const Impl&) = delete;
+    Impl& operator=(const Impl&) = delete;
     ~Impl() { close_fd(fd); }
 };
 
@@ -511,6 +514,9 @@ struct FileWriter::Impl {
     std::filesystem::path final_path;
     std::filesystem::path tmp_path;
     std::uint64_t logical_end = 0;
+    Impl() = default;
+    Impl(const Impl&) = delete;
+    Impl& operator=(const Impl&) = delete;
     ~Impl() { close_fd(fd); }
 };
 

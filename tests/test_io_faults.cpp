@@ -185,10 +185,29 @@ TEST(IoFacade, EmptyPlanIsByteIdenticalToNoPlan) {
     fs::remove_all(dir);
 }
 
-// Every fault point of a file write draws against the published name, so a
-// rule globbing the final extension reaches the whole-file write and the
-// streaming YFL2 writer alike — including the rename, which once drew
-// against "<path>.tmp" in the streaming writer and slipped past the glob.
+// Plans without a glob see one draw per point: a whole-file write draws Open,
+// Write, Fsync and Rename once each; a read draws Open plus one Read per
+// non-empty 64 KiB chunk.
+TEST(IoFacade, WholeFileCallsDrawOncePerPointAndChunk) {
+    const auto dir = temp_dir("draws");
+    auto plan = std::make_shared<io::FaultPlan>(1);
+    plan->add(rule(io::FaultKind::Eio, 0.0));
+    io::ScopedFaultPlan scoped(plan);
+    std::uint64_t expected = 0;
+    for (const std::size_t chunks : {1, 3}) {
+        const auto path = dir / ("chunks_" + std::to_string(chunks));
+        const std::size_t size = chunks == 1 ? 65536 : 2 * 65536 + 1;
+        ASSERT_TRUE(io::write_file_atomic(path, std::string(size, 'x')).ok());
+        EXPECT_EQ(plan->counts().checked, expected += 4);
+        ASSERT_EQ(io::read_file(path).value_or_throw().size(), size);
+        EXPECT_EQ(plan->counts().checked, expected += 1 + chunks);
+    }
+    fs::remove_all(dir);
+}
+
+// Every fault point of a file write draws against the published name, never
+// "<path>.tmp", so a rule globbing the final extension reaches the
+// whole-file write and the streaming YFL2 writer alike.
 TEST(IoFacade, FaultRulesMatchThePublishedName) {
     const std::pair<const char*, io::Op> cases[] = {{"open", io::Op::Open},
                                                     {"write", io::Op::Write},
