@@ -437,7 +437,6 @@ Result<void> write_file_atomic(const std::filesystem::path& path,
 struct FileReader::Impl {
     int fd = -1;
     std::filesystem::path path;
-    std::uint64_t offset = 0;
     Impl() = default;
     Impl(const Impl&) = delete;
     Impl& operator=(const Impl&) = delete;
@@ -479,13 +478,9 @@ Result<std::size_t> FileReader::read(char* buf, std::size_t max) {
     if (n > 0) {
         if (const FaultKind f = check_fault(Op::Read, impl_->path);
             f != FaultKind::None) {
-            // A short read delivers a torn chunk before failing, like a
-            // real EIO mid-file would.
-            impl_->offset += (f == FaultKind::ShortWrite ? n / 2 : 0);
             return injected_error(f, Op::Read, impl_->path);
         }
     }
-    impl_->offset += n;
     return n;
 }
 
@@ -497,17 +492,6 @@ Result<std::size_t> FileReader::read_chunk(std::string& out, std::size_t max) {
     if (!n) return n.error();
     return n.value();
 }
-
-std::uint64_t FileReader::offset() const noexcept {
-    return impl_ ? impl_->offset : 0;
-}
-
-const std::filesystem::path& FileReader::path() const noexcept {
-    static const std::filesystem::path empty;
-    return impl_ ? impl_->path : empty;
-}
-
-void FileReader::close() { impl_.reset(); }
 
 struct FileWriter::Impl {
     int fd = -1;
@@ -582,10 +566,6 @@ Result<void> FileWriter::write_at(std::uint64_t offset, std::string_view bytes) 
         return errno_error("write_at", impl_->tmp_path);
     }
     return {};
-}
-
-std::uint64_t FileWriter::bytes_written() const noexcept {
-    return impl_ ? impl_->logical_end : 0;
 }
 
 const std::filesystem::path& FileWriter::path() const noexcept {

@@ -151,7 +151,7 @@ private:
 /// through the fault-plan boundary, for read_file and for consumers that
 /// must not materialize the whole file (the out-of-core YFL2/YTR1 streaming
 /// paths — DESIGN.md §16). Move-only. Fault points: Open at open(), Read at
-/// every non-empty chunk (a ShortWrite fault tears the chunk, then fails).
+/// every non-empty chunk.
 class FileReader {
 public:
     FileReader();
@@ -169,11 +169,7 @@ public:
     /// Appends up to `max` bytes to `out` (resizing it); returns the count.
     [[nodiscard]] Result<std::size_t> read_chunk(std::string& out, std::size_t max);
 
-    /// Bytes delivered so far — the provenance offset for error reports.
-    [[nodiscard]] std::uint64_t offset() const noexcept;
-    [[nodiscard]] const std::filesystem::path& path() const noexcept;
     [[nodiscard]] bool is_open() const noexcept { return impl_ != nullptr; }
-    void close();
 
 private:
     struct Impl;
@@ -203,12 +199,10 @@ public:
     [[nodiscard]] static Result<FileWriter> create(const std::filesystem::path& path);
 
     [[nodiscard]] Result<void> append(std::string_view bytes);
-    /// Overwrites bytes at `offset` within what was already appended; the
-    /// write position returns to the end afterwards.
+    /// Overwrites bytes at `offset` within what was already appended; later
+    /// appends still go to the end.
     [[nodiscard]] Result<void> write_at(std::uint64_t offset, std::string_view bytes);
 
-    /// Logical size so far (appends only; write_at never extends).
-    [[nodiscard]] std::uint64_t bytes_written() const noexcept;
     /// The final (post-publish) path.
     [[nodiscard]] const std::filesystem::path& path() const noexcept;
     [[nodiscard]] bool is_open() const noexcept { return impl_ != nullptr; }
